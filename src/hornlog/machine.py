@@ -99,8 +99,6 @@ class MachineFault(Exception):
 # ---------------------------------------------------------------------------
 # clause compilation
 
-_EMPTY_FRESH: list = []
-
 
 class VarSlot:
     __slots__ = ("index",)
@@ -110,29 +108,83 @@ class VarSlot:
 
 
 class Clause:
-    """A compiled clause: head/body templates plus the frame size.
+    """A compiled clause: head-argument and body templates plus the frame size.
 
     Templates are ordinary terms except that variables are VarSlot markers
     and any compound containing one is a (functor, args) pair. Ground
     subterms are shared, never rebuilt.
     """
 
-    __slots__ = ("head", "body", "nvars", "origin")
+    __slots__ = ("args", "body", "nvars", "origin")
 
-    def __init__(self, head, body, nvars, origin=None):
-        self.head = head
+    def __init__(self, args, body, nvars, origin=None):
+        self.args = args
         self.body = body
         self.nvars = nvars
         self.origin = origin
 
 
 def _build(tpl, fresh):
+    """Instantiate a template; a slot not yet filled gets a new Var."""
     t = type(tpl)
     if t is VarSlot:
-        return fresh[tpl.index]
+        v = fresh[tpl.index]
+        if v is None:
+            v = fresh[tpl.index] = Var()
+        return v
     if t is tuple:
-        return Struct(tpl[0], tuple(_build(a, fresh) for a in tpl[1]))
+        args = []
+        for a in tpl[1]:  # leaves inline: most arguments are slots or constants
+            ta = type(a)
+            if ta is VarSlot:
+                v = fresh[a.index]
+                if v is None:
+                    v = fresh[a.index] = Var()
+                args.append(v)
+            elif ta is tuple:
+                args.append(_build(a, fresh))
+            else:
+                args.append(a)
+        return Struct(tpl[0], args)
     return tpl
+
+
+def _unify_head(tpls, args, fresh, trail) -> bool:
+    """Unify head-argument templates with a goal's arguments in place.
+
+    A slot's first occurrence takes the goal subterm as it is; only later
+    occurrences unify. A compound template is built only where it meets an
+    unbound goal variable. On failure, bindings already made are left for
+    the caller's backtrack to undo.
+    """
+    for tpl, a in zip(tpls, args):
+        t = type(tpl)
+        if t is VarSlot:
+            i = tpl.index
+            v = fresh[i]
+            if v is None:
+                fresh[i] = a
+            elif not unify(v, a, trail):
+                return False
+            continue
+        a = deref(a)
+        ta = type(a)
+        if ta is Var:
+            bind(a, _build(tpl, fresh) if t is tuple else tpl, trail)
+        elif t is tuple:
+            if (
+                ta is not Struct
+                or a.functor is not tpl[0]
+                or len(a.args) != len(tpl[1])
+                or not _unify_head(tpl[1], a.args, fresh, trail)
+            ):
+                return False
+        elif t is Atom:  # interned: distinct objects are distinct atoms
+            if a is not tpl:
+                return False
+        elif not unify(tpl, a, trail):  # an integer or a ground compound
+            return False
+    return True
 
 
 ATOM_TRUE = Atom("true")
@@ -158,7 +210,8 @@ def compile_clause(head, body, origin=None) -> Clause:
             return t
         return t
 
-    chead = tpl(head)
+    head = deref(head)
+    cargs = tuple(tpl(a) for a in head.args) if type(head) is Struct else ()
     goals: list = []
 
     def flatten(b):
@@ -172,14 +225,34 @@ def compile_clause(head, body, origin=None) -> Clause:
             goals.append(tpl(b))
 
     flatten(body)
-    return Clause(chead, tuple(goals), len(slots), origin)
+    return Clause(cargs, tuple(goals), len(slots), origin)
+
+
+def _index_key(t):
+    """First-argument index key of a bound term: the atom itself, the
+    integer's value, or (functor, arity); None for an unbound variable or
+    a head slot."""
+    t = deref(t)
+    tt = type(t)
+    if tt is Atom:
+        return t
+    if tt is Int:
+        return t.value
+    if tt is Struct:
+        return (t.functor, len(t.args))
+    if tt is tuple:  # a compound template
+        return (t[0], len(t[1]))
+    return None
 
 
 class Database:
-    """Clause store indexed by functor/arity; immutable once frozen."""
+    """Clause store indexed by functor/arity and, once frozen, by the first
+    argument of each multi-clause predicate; immutable once frozen."""
 
     def __init__(self):
         self._preds: dict[tuple[Symbol, int], list[Clause]] = {}
+        # key -> (clauses per first-argument key, clauses with a variable first argument)
+        self._index: dict[tuple[Symbol, int], tuple[dict, list[Clause]]] = {}
         self.frozen = False
 
     def add(self, head, body, origin=None):
@@ -197,8 +270,34 @@ class Database:
 
     def freeze(self):
         self.frozen = True
+        for key, clauses in self._preds.items():
+            if len(clauses) < 2 or key[1] == 0:
+                continue
+            table: dict = {}
+            unkeyed: list[Clause] = []
+            for cl in clauses:
+                k = _index_key(cl.args[0])
+                if k is None:
+                    unkeyed.append(cl)
+                    for candidates in table.values():
+                        candidates.append(cl)
+                elif k in table:
+                    table[k].append(cl)
+                else:
+                    table[k] = unkeyed + [cl]
+            if table:
+                self._index[key] = (table, unkeyed)
 
-    def lookup(self, key):
+    def lookup(self, key, args):
+        """Clauses that may match a call, in source order; None when the
+        predicate is unknown. A bound first argument selects only the
+        clauses whose first argument has its key or is a variable."""
+        index = self._index.get(key)
+        if index is not None:
+            k = _index_key(args[0])
+            if k is not None:
+                table, unkeyed = index
+                return table.get(k, unkeyed)
         return self._preds.get(key)
 
 
@@ -216,10 +315,10 @@ class _Cut:
 
 
 class ClauseCP:
-    __slots__ = ("goal", "rest", "clauses", "cursor", "trailmark", "barrier", "stamp")
+    __slots__ = ("args", "rest", "clauses", "cursor", "trailmark", "barrier", "stamp")
 
-    def __init__(self, goal, rest, clauses, trailmark, barrier):
-        self.goal = goal
+    def __init__(self, args, rest, clauses, trailmark, barrier):
+        self.args = args
         self.rest = rest
         self.clauses = clauses
         self.cursor = 0
@@ -231,13 +330,13 @@ class ClauseCP:
         clauses = self.clauses
         n = len(clauses)
         i = self.cursor
-        goal = self.goal
+        args = self.args
         trail = m.trail
         while i < n:
             cl = clauses[i]
             i += 1
-            fresh = [Var() for _ in range(cl.nvars)] if cl.nvars else _EMPTY_FRESH
-            if unify(goal, _build(cl.head, fresh), trail):
+            fresh = [None] * cl.nvars
+            if _unify_head(cl.args, args, fresh, trail):
                 self.cursor = i
                 if i >= n:
                     m._pop_cp()
@@ -393,26 +492,29 @@ class Machine:
                 if res is None:  # builtin updated self.goals itself
                     continue
                 return res  # a Yielded event
-            clauses = db.lookup(key)
+            clauses = db.lookup(key, args)
             if clauses is None:
                 raise MachineFault(
                     "unknown_predicate", Struct("/", (Atom(key[0].text), Int(key[1])))
                 )
-            if not self._call_pred(goal, rest, clauses):
+            if not self._call_pred(args, rest, clauses):
                 if not self._backtrack():
                     return self._exhaust()
 
-    def _call_pred(self, goal, rest, clauses) -> bool:
-        if len(clauses) == 1:
+    def _call_pred(self, args, rest, clauses) -> bool:
+        n = len(clauses)
+        if n == 1:
             cl = clauses[0]
-            fresh = [Var() for _ in range(cl.nvars)] if cl.nvars else _EMPTY_FRESH
-            if unify(goal, _build(cl.head, fresh), self.trail):
+            fresh = [None] * cl.nvars
+            if _unify_head(cl.args, args, fresh, self.trail):
                 self.goals = self._push_body(cl, fresh, rest, len(self.cps))
                 return True
             return False
+        if n == 0:
+            return False
         # the choice point must exist before head unification so that the
         # bindings it makes are trailed against this choice point
-        cp = ClauseCP(goal, rest, clauses, self.trail.mark(), len(self.cps))
+        cp = ClauseCP(args, rest, clauses, self.trail.mark(), len(self.cps))
         self._push_cp(cp)
         if cp.retry(self):
             return True

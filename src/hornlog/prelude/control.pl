@@ -16,8 +16,6 @@ backtrack_over_then(_,Engine,Cond,Then):-
   backtrack_over_then(NewBoundCond,Engine,Cond,Then).
 
 % First-solution if-then-else: Cond gets one shot, its bindings propagate.
-% The no clause comes first so the the/1 case matches last, choice-point
-% free; that keeps engine loops built on if/3 memory-flat.
 
 if(Cond,Then,Else):-
   new_engine(Cond,Cond,Engine),

@@ -11,8 +11,6 @@ engine_yield(Answer):-
   return(Answer).
 
 % Fold over the answers of an engine; no intermediate list is built.
-% The no case comes first so a the/1 answer matches the last clause and
-% leaves no choice point behind.
 
 efoldl(Engine,F,R1,R2):-
   get(Engine,X),

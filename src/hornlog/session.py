@@ -243,7 +243,7 @@ class Session:
 
     # -- diagnostics -----------------------------------------------------------
 
-    def report_error(self, eid: int, kind: str, culprit=None, machine_busy=False) -> None:
+    def report_error(self, eid: int, kind: str, culprit=None) -> None:
         self.error_count += 1
         detail = "" if culprit is None else f": {write_term(culprit)}"
         line = f"engine {eid}: {kind}{detail}"

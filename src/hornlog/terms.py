@@ -109,10 +109,6 @@ class Struct:
         return f"{self.functor.text}({', '.join(map(repr, self.args))})"
 
 
-def mk(name: str, *args) -> Struct:
-    return Struct(name, args)
-
-
 NIL = Atom("[]")
 TRUE = Atom("true")
 DOT = Symbol(".")
@@ -145,10 +141,6 @@ class Trail:
 
     def mark(self) -> int:
         return len(self.entries)
-
-    def push(self, var: Var) -> None:
-        if var.serial < self.boundary:
-            self.entries.append(var)
 
     def undo_to(self, mark: int) -> None:
         entries = self.entries

@@ -302,6 +302,97 @@ def test_deterministic_loop_runs_trail_free(base):
     assert n < 10
 
 
+def test_fold_with_answer_clause_first_leaves_no_choice_points():
+    # first-argument indexing makes the fold deterministic whatever the
+    # clause order: no choice point and no trail entry per answer
+    s = Session(
+        text="""
+fold(E,F,R1,R2):-get(E,X),fold_cont(X,E,F,R1,R2).
+fold_cont(the(X),E,F,R1,R2):-call(F,R1,X,R),fold(E,F,R,R2).
+fold_cont(no,_,_,R,R).
+"""
+    )
+    m = machine(s, "R", "(new_engine(X,between(1,2000,X),E),fold(E,+,0,R))")
+    ev = m.resume()
+    assert type(ev) is AnswerReady and ev.value.value == 2000 * 2001 // 2
+    assert len(m.cps) == 0
+    assert len(m.trail.entries) == 0
+
+
+# -- first-argument indexing and head unification --------------------------------
+
+INDEXED = """
+p(a,1). p(X,2). p(a,3). p(b,4).
+k(1,int). k('1',atom).
+s(f(x),one). s(f(x,y),two).
+q(R):-p(a,R),R>1,!.
+eq(X,X).
+twice(X,f(X,X)).
+mk(f(A,g(A,B)),B).
+mk_bound(f(A,g(A,B)),B):-A=k.
+"""
+
+
+def test_index_keeps_source_order_across_variable_clauses():
+    s = Session(text=INDEXED)
+    assert [v.value for v in s.answers("R", "p(a,R)")] == [1, 2, 3]
+    assert [v.value for v in s.answers("R", "p(b,R)")] == [2, 4]
+    assert [v.value for v in s.answers("R", "p(c,R)")] == [2]
+
+
+def test_index_separates_integers_from_atoms_and_arities():
+    s = Session(text=INDEXED)
+    assert [write_term(v) for v in s.answers("R", "k(1,R)")] == ["int"]
+    assert [write_term(v) for v in s.answers("R", "k('1',R)")] == ["atom"]
+    assert [write_term(v) for v in s.answers("R", "s(f(x),R)")] == ["one"]
+    assert [write_term(v) for v in s.answers("R", "s(f(x,y),R)")] == ["two"]
+    assert s.answers("R", "s(f(y),R)") == []
+
+
+def test_unbound_first_argument_enumerates_every_clause():
+    s = Session(text=INDEXED)
+    assert [v.value for v in s.answers("R", "p(_,R)")] == [1, 2, 3, 4]
+    assert [write_term(v) for v in s.answers("X-R", "k(X,R)")] == ["1-int", "'1'-atom"]
+
+
+def test_single_candidate_call_leaves_no_choice_point():
+    s = Session(text=INDEXED)
+    m = machine(s, "R", "s(f(x),R)")
+    ev = m.resume()
+    assert type(ev) is AnswerReady and write_term(ev.value) == "one"
+    assert len(m.cps) == 0
+    m = machine(s, "R", "p(a,R)")
+    m.resume()
+    assert len(m.cps) == 1  # p(X,2) and p(a,3) remain
+
+
+def test_cut_after_indexed_call():
+    s = Session(text=INDEXED)
+    assert [v.value for v in s.answers("R", "q(R)")] == [2]
+    m = machine(s, "R", "q(R)")
+    m.resume()
+    assert len(m.cps) == 0
+
+
+def test_repeated_head_variables():
+    s = Session(text=INDEXED)
+    assert write_term(s.first("A", "eq(f(A),f(1))")) == "1"
+    assert s.answers("X", "eq(a,b)") == []
+    assert s.first("X", "(eq(A,B),A==B)") is not None
+    assert write_term(s.first("Y-Z", "twice(Y,f(1,Z))")) == "1-1"
+    assert s.answers("X", "twice(1,f(1,2))") == []
+
+
+def test_head_compound_built_for_unbound_goal_variable_shares_slots():
+    s = Session(text=INDEXED)
+    t = s.first("T", "mk(T,z)")
+    a = t.args[0]
+    g = t.args[1]
+    assert type(a) is Var and g.args[0] is a
+    assert write_term(g.args[1]) == "z"
+    assert write_term(s.first("T", "mk_bound(T,z)")) == "f(k,g(k,z))"
+
+
 def test_failed_alias():
     from hornlog.machine import Failed
 
