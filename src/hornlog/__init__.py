@@ -42,7 +42,7 @@ from .terms import (
     unify,
     variant,
 )
-from .threads import Hub, HubRef, ThreadRef
+from .threads import Hub, ThreadRef
 from .writer import write_term
 
 __version__ = "0.1.0"
@@ -79,7 +79,6 @@ __all__ = [
     "EXHAUSTED",
     "eval_arith",
     "Hub",
-    "HubRef",
     "ThreadRef",
     "prelude_sources",
     "__version__",

@@ -33,22 +33,42 @@ class _No:
 
 NO = _No()
 
-_ENGINE = Symbol("$engine")
+
+class Handle:
+    """An entry of a session's handle table as the host sees it: its id
+    (0 until a session enters it), drawn from the one sequence engines,
+    hubs and threads share, and the object-language term FUNCTOR(Id)."""
+
+    __slots__ = ("id",)
+    FUNCTOR: Symbol
+
+    @property
+    def term(self) -> Struct:
+        return Struct(self.FUNCTOR, (Int(self.id),))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.id})"
 
 
-class EngineRef:
-    """Unforgeable per-boot handle for one engine."""
+def handle_id(t, kind: type[Handle]) -> int:
+    """The id in a handle term of kind, such as '$engine'(Id); faults otherwise."""
+    t = deref(t)
+    if type(t) is Struct and t.functor is kind.FUNCTOR and len(t.args) == 1:
+        i = deref(t.args[0])
+        if type(i) is Int:
+            return i.value
+    raise MachineFault("type_error", t)
 
-    __slots__ = ("id", "session")
+
+class EngineRef(Handle):
+    """Per-boot handle for one engine; the table holds its Machine."""
+
+    __slots__ = ("session",)
+    FUNCTOR = Symbol("$engine")
 
     def __init__(self, eid: int, session):
         self.id = eid
         self.session = session
-
-    @property
-    def term(self) -> Struct:
-        """The object-language form of this handle: '$engine'(Id)."""
-        return Struct(_ENGINE, (Int(self.id),))
 
     def get(self):
         """Next answer: The(term) or NO; NO forever once produced."""
@@ -60,19 +80,6 @@ class EngineRef:
     def to_engine(self, data) -> bool:
         return self.session.to_id(self.id, data)
 
-    def __repr__(self):
-        return f"EngineRef({self.id})"
-
-
-def engine_id(t) -> int:
-    """Extract the id from a '$engine'(Int) handle term or fault."""
-    t = deref(t)
-    if type(t) is Struct and t.functor is _ENGINE and len(t.args) == 1:
-        i = deref(t.args[0])
-        if type(i) is Int:
-            return i.value
-    raise MachineFault("type_error", t)
-
 
 @builtin("new_engine", 3)
 def _bi_new_engine(m, args, rest):
@@ -82,17 +89,17 @@ def _bi_new_engine(m, args, rest):
 
 @builtin("get", 2)
 def _bi_get(m, args, rest):
-    ans = m.session.get_by_id(engine_id(args[0]))
+    ans = m.session.get_by_id(handle_id(args[0], EngineRef))
     t = Atom("no") if ans is NO else Struct("the", (ans.value,))
     return unify(args[1], t, m.trail)
 
 
 @builtin("stop", 1)
 def _bi_stop(m, args, rest):
-    m.session.stop_id(engine_id(args[0]))
+    m.session.stop_id(handle_id(args[0], EngineRef))
     return True
 
 
 @builtin("to_engine", 2)
 def _bi_to_engine(m, args, rest):
-    return m.session.to_id(engine_id(args[0]), args[1])
+    return m.session.to_id(handle_id(args[0], EngineRef), args[1])

@@ -69,8 +69,6 @@ class Exhausted:
         return "Exhausted"
 
 
-Failed = Exhausted  # failure of an injected goal is indistinguishable from exhaustion
-
 EXHAUSTED = Exhausted()
 
 
@@ -335,11 +333,13 @@ class ClauseCP:
         while i < n:
             cl = clauses[i]
             i += 1
+            if i == n:
+                # the last alternative runs without this choice point, so
+                # its bindings are trailed only against older ones
+                m._pop_cp()
             fresh = [None] * cl.nvars
             if _unify_head(cl.args, args, fresh, trail):
                 self.cursor = i
-                if i >= n:
-                    m._pop_cp()
                 m.goals = m._push_body(cl, fresh, self.rest, self.barrier)
                 return True
             trail.undo_to(self.trailmark)
@@ -359,12 +359,10 @@ class BetweenCP:
 
     def retry(self, m: "Machine") -> bool:
         v = self.next
-        if v > self.hi:
-            return False
         self.next = v + 1
-        bind(self.var, Int(v), m.trail)
         if v == self.hi:
-            m._pop_cp()
+            m._pop_cp()  # before binding, as in ClauseCP.retry
+        bind(self.var, Int(v), m.trail)
         m.goals = self.rest
         return True
 
@@ -390,7 +388,6 @@ class Machine:
         "pattern",
         "dead",
         "running",
-        "status",
         "id",
         "_awaiting_redo",
     )
@@ -410,7 +407,6 @@ class Machine:
         self.mailbox: deque = deque()
         self.dead = False
         self.running = False
-        self.status = "ready"
         self.id = 0
         self._awaiting_redo = False
 
@@ -426,10 +422,7 @@ class Machine:
                 self._awaiting_redo = False
                 if not self._backtrack():
                     return self._exhaust()
-            ev = self._run()
-            if not self.dead:
-                self.status = "suspended"
-            return ev
+            return self._run()
         except MachineFault as f:
             self.kill()
             return MachineError(f.kind, f.culprit)
@@ -446,7 +439,6 @@ class Machine:
     def kill(self):
         """Release all state; idempotent. Any later resume reports Exhausted."""
         self.dead = True
-        self.status = "dead"
         self.goals = None
         self.cps.clear()
         self.trail.entries.clear()
@@ -516,10 +508,7 @@ class Machine:
         # bindings it makes are trailed against this choice point
         cp = ClauseCP(args, rest, clauses, self.trail.mark(), len(self.cps))
         self._push_cp(cp)
-        if cp.retry(self):
-            return True
-        self._pop_cp()
-        return False
+        return cp.retry(self)
 
     def _push_body(self, cl: Clause, fresh, rest, barrier):
         g = rest
@@ -531,6 +520,8 @@ class Machine:
         return g
 
     def _backtrack(self) -> bool:
+        # a choice point pops itself before its last alternative (WAM
+        # trust_me), so a failed retry has already left the stack
         cps = self.cps
         trail = self.trail
         while cps:
@@ -538,7 +529,6 @@ class Machine:
             trail.undo_to(cp.trailmark)
             if cp.retry(self):
                 return True
-            self._pop_cp()
         return False
 
     def _push_cp(self, cp):

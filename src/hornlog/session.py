@@ -1,4 +1,4 @@
-"""A session: one frozen program plus the registries engines live in.
+"""A session: one frozen program plus the handle table engines live in.
 
 The database is built once (prelude, then user files, then inline text) and
 frozen before any engine runs; all dynamic behavior happens inside engines.
@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import sys
 import threading
-import time
 from importlib import resources
 
 from .engines import NO, EngineRef, The
@@ -25,7 +24,7 @@ from .machine import (
 )
 from .reader import parse_program, parse_term
 from .terms import Atom, Struct, Var, deref
-from .threads import Hub, HubRef, ThreadRef
+from .threads import Hub, ThreadRef
 from .writer import write_term
 
 PRELUDE_FILES = ("lists.pl", "engines.pl", "control.pl", "db.pl", "generators.pl")
@@ -51,13 +50,13 @@ class Session:
         self.on_event = on_event
         self.error_count = 0
         self._lock = threading.Lock()
-        self._engines: dict[int, Machine] = {}
-        self._engine_ids = itertools.count(1)
-        self._hubs: dict[int, object] = {}
-        self._hub_ids = itertools.count(1)
-        self._threads: dict[int, ThreadRef] = {}
-        self._thread_ids = itertools.count(1)
-        self._tid_of_ident: dict[int, int] = {}
+        # one id sequence and one table for engines (as their Machine),
+        # hubs and threads; _live counts the entries of each kind. Only the
+        # thread whose ident is a key of _thread_of_ident writes that key.
+        self._ids = itertools.count(1)
+        self._handles: dict[int, Machine | Hub | ThreadRef] = {}
+        self._live = dict.fromkeys((Machine, Hub, ThreadRef), 0)
+        self._thread_of_ident: dict[int, ThreadRef] = {}
         if prelude:
             for name, src in prelude_sources():
                 self._load(src, name)
@@ -91,24 +90,11 @@ class Session:
         return self.spawn(pattern, goal)
 
     def spawn(self, pattern, goal) -> EngineRef:
-        machine = Machine(self, self.db, pattern, goal)
-        with self._lock:
-            eid = next(self._engine_ids)
-            machine.id = eid
-            self._engines[eid] = machine
-        return EngineRef(eid, self)
-
-    def get(self, ref: EngineRef):
-        return self.get_by_id(ref.id)
-
-    def stop(self, ref: EngineRef) -> None:
-        self.stop_id(ref.id)
-
-    def to_engine(self, ref: EngineRef, data) -> bool:
-        return self.to_id(ref.id, data)
+        machine = self._add(Machine(self, self.db, pattern, goal))
+        return EngineRef(machine.id, self)
 
     def get_by_id(self, eid: int):
-        machine = self._engines.get(eid)
+        machine = self.lookup(eid, Machine)
         if machine is None:
             return NO
         if machine.running:
@@ -126,39 +112,58 @@ class Session:
         return NO
 
     def stop_id(self, eid: int) -> None:
-        machine = self._engines.pop(eid, None)
+        machine = self._remove(eid, Machine)
         if machine is not None:
             machine.kill()
 
     def to_id(self, eid: int, data) -> bool:
-        machine = self._engines.get(eid)
+        machine = self.lookup(eid, Machine)
         if machine is None:
             return False
         return machine.deposit(data)
 
     def engine_count(self) -> int:
-        return len(self._engines)
+        return self._live[Machine]
+
+    # -- the handle table ------------------------------------------------------
+
+    def _add(self, obj):
+        """Enter obj under a fresh id, which becomes obj.id; returns obj."""
+        with self._lock:
+            obj.id = next(self._ids)
+            self._handles[obj.id] = obj
+            self._live[type(obj)] += 1
+        return obj
+
+    def lookup(self, hid: int, kind: type):
+        """The entry with id hid if it is a kind (Machine, Hub or ThreadRef), else None."""
+        obj = self._handles.get(hid)
+        return obj if type(obj) is kind else None
+
+    def _remove(self, hid: int, kind: type):
+        """Take the entry with id hid out of the table if it is a kind."""
+        obj = self.lookup(hid, kind)
+        if obj is None:
+            return None
+        with self._lock:
+            if self._handles.pop(hid, None) is None:
+                return None  # another thread took it first
+            self._live[kind] -= 1
+        return obj
 
     # -- hubs and threads ------------------------------------------------------
 
-    def hub(self, timeout_ms: int) -> HubRef:
+    def hub(self, timeout_ms: int) -> Hub:
         if timeout_ms < 0:
             raise ValueError("hub timeout must be >= 0")
-        with self._lock:
-            hid = next(self._hub_ids)
-            hub = Hub(timeout_ms)
-            self._hubs[hid] = hub
-        return HubRef(hid, hub)
-
-    def hub_by_id(self, hid: int):
-        return self._hubs.get(hid)
+        return self._add(Hub(timeout_ms))
 
     def run_bg(self, ref: EngineRef) -> ThreadRef | None:
         return self.run_bg_id(ref.id)
 
     def run_bg_id(self, eid: int) -> ThreadRef | None:
         """Move an engine onto its own thread; the handle stops resolving."""
-        machine = self._engines.pop(eid, None)
+        machine = self._remove(eid, Machine)
         if machine is None or machine.dead:
             return None
         return self._launch(machine)
@@ -169,15 +174,12 @@ class Session:
             goal = parse_term(goal)
         machine = Machine(self, self.db, Var(), goal)
         with self._lock:
-            machine.id = next(self._engine_ids)
+            machine.id = next(self._ids)  # named in diagnostics, never looked up
         return self._launch(machine)
 
     def _launch(self, machine: Machine) -> ThreadRef:
-        box: dict = {}
-
         def drive():
-            with self._lock:
-                self._tid_of_ident[threading.get_ident()] = box["ref"].id
+            self._thread_of_ident[threading.get_ident()] = tref
             while True:
                 ev = machine.resume()
                 if self.on_event is not None:
@@ -190,36 +192,19 @@ class Session:
                     break
             machine.kill()
 
-        thread = threading.Thread(target=drive, daemon=True)
-        with self._lock:
-            tid = next(self._thread_ids)
-            tref = ThreadRef(tid, thread)
-            self._threads[tid] = tref
-        box["ref"] = tref
-        thread.start()
+        tref = self._add(ThreadRef(threading.Thread(target=drive, daemon=True)))
+        tref.thread.start()
         return tref
 
     def current_thread(self) -> ThreadRef:
+        """The calling thread's record, made on first use. The OS reuses the
+        idents of ended threads, so a record counts only if it holds this
+        very thread."""
         cur = threading.current_thread()
-        with self._lock:
-            tid = self._tid_of_ident.get(cur.ident)
-            if tid is not None:
-                return self._threads[tid]
-            tid = next(self._thread_ids)
-            tref = ThreadRef(tid, cur)
-            self._threads[tid] = tref
-            self._tid_of_ident[cur.ident] = tid
+        tref = self._thread_of_ident.get(cur.ident)
+        if tref is None or tref.thread is not cur:
+            tref = self._thread_of_ident[cur.ident] = self._add(ThreadRef(cur))
         return tref
-
-    def thread_by_id(self, tid: int) -> ThreadRef | None:
-        return self._threads.get(tid)
-
-    def join_thread(self, tref: ThreadRef) -> None:
-        tref.join()
-
-    @staticmethod
-    def sleep_ms(ms: int) -> None:
-        time.sleep(ms / 1000.0)
 
     # -- conveniences ----------------------------------------------------------
 

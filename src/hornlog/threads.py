@@ -14,18 +14,19 @@ import threading
 import time
 from collections import deque
 
-from .engines import engine_id
+from .engines import EngineRef, Handle, handle_id
 from .machine import MachineFault, builtin, _int_arg
-from .terms import Int, Struct, Symbol, copy_term, deref, unify
-
-_HUB = Symbol("$hub")
-_THREAD = Symbol("$thread")
+from .terms import Symbol, copy_term, deref, unify
 
 
-class Hub:
+class Hub(Handle):
     """M-producer/N-consumer term exchanger with consumer timeout."""
 
+    __slots__ = ("timeout_ms", "_queue", "_cond")
+    FUNCTOR = Symbol("$hub")
+
     def __init__(self, timeout_ms: int):
+        self.id = 0
         self.timeout_ms = timeout_ms
         self._queue: deque = deque()
         self._cond = threading.Condition()
@@ -56,67 +57,20 @@ class Hub:
             return self._queue.popleft()
 
 
-class HubRef:
-    """Host-side handle pairing a hub with its object-language term."""
-
-    __slots__ = ("id", "hub")
-
-    def __init__(self, hid: int, hub: Hub):
-        self.id = hid
-        self.hub = hub
-
-    @property
-    def term(self) -> Struct:
-        return Struct(_HUB, (Int(self.id),))
-
-    def put(self, term) -> None:
-        self.hub.put(term)
-
-    def collect(self):
-        return self.hub.collect()
-
-    def __repr__(self):
-        return f"HubRef({self.id})"
-
-
-class ThreadRef:
+class ThreadRef(Handle):
     """Handle for a launched or adopted thread; join is idempotent."""
 
-    __slots__ = ("id", "thread")
+    __slots__ = ("thread",)
+    FUNCTOR = Symbol("$thread")
 
-    def __init__(self, tid: int, thread: threading.Thread):
-        self.id = tid
+    def __init__(self, thread: threading.Thread):
+        self.id = 0
         self.thread = thread
-
-    @property
-    def term(self) -> Struct:
-        return Struct(_THREAD, (Int(self.id),))
 
     def join(self):
         if self.thread is threading.current_thread():
             raise MachineFault("type_error", self.term)
         self.thread.join()
-
-    def __repr__(self):
-        return f"ThreadRef({self.id})"
-
-
-def _hub_of(m, t) -> Hub | None:
-    t = deref(t)
-    if type(t) is Struct and t.functor is _HUB and len(t.args) == 1:
-        i = deref(t.args[0])
-        if type(i) is Int:
-            return m.session.hub_by_id(i.value)
-    raise MachineFault("type_error", t)
-
-
-def _thread_id(t) -> int:
-    t = deref(t)
-    if type(t) is Struct and t.functor is _THREAD and len(t.args) == 1:
-        i = deref(t.args[0])
-        if type(i) is Int:
-            return i.value
-    raise MachineFault("type_error", t)
 
 
 @builtin("bg", 1)
@@ -126,7 +80,7 @@ def _bi_bg(m, args, rest):
 
 @builtin("run_bg", 2)
 def _bi_run_bg(m, args, rest):
-    tref = m.session.run_bg_id(engine_id(args[0]))
+    tref = m.session.run_bg_id(handle_id(args[0], EngineRef))
     if tref is None:
         return False
     return unify(args[1], tref.term, m.trail)
@@ -143,7 +97,7 @@ def _bi_hub_ms(m, args, rest):
 
 @builtin("put", 2)
 def _bi_put(m, args, rest):
-    hub = _hub_of(m, args[0])
+    hub = m.session.lookup(handle_id(args[0], Hub), Hub)
     if hub is None:
         return False
     hub.put(args[1])
@@ -152,7 +106,7 @@ def _bi_put(m, args, rest):
 
 @builtin("collect", 2)
 def _bi_collect(m, args, rest):
-    hub = _hub_of(m, args[0])
+    hub = m.session.lookup(handle_id(args[0], Hub), Hub)
     if hub is None:
         return False
     item = hub.collect()
@@ -168,7 +122,7 @@ def _bi_current_thread(m, args, rest):
 
 @builtin("join_thread", 1)
 def _bi_join_thread(m, args, rest):
-    tref = m.session.thread_by_id(_thread_id(args[0]))
+    tref = m.session.lookup(handle_id(args[0], ThreadRef), ThreadRef)
     if tref is None:
         return False
     tref.join()

@@ -18,7 +18,6 @@ from hornlog import (
     variant,
     write_term,
 )
-from hornlog.machine import Exhausted
 
 
 def machine(base: Session, pattern, goal) -> Machine:
@@ -74,8 +73,11 @@ def test_boot_rejects_variable_and_integer_goal(base):
 
 
 def test_boot_is_lazy(base):
-    m = machine(base, "X", "member(X,[1])")
-    assert m.status == "ready"  # nothing executed yet
+    # an eager boot would already have faulted on the empty mailbox
+    m = machine(base, "X", "from_engine(X)")
+    assert m.deposit(parse_term("late"))
+    ev = m.resume()
+    assert type(ev) is AnswerReady and write_term(ev.value) == "late"
 
 
 def test_boot_copies_pattern_and_goal_jointly(base):
@@ -319,6 +321,26 @@ fold_cont(no,_,_,R,R).
     assert len(m.trail.entries) == 0
 
 
+TRUST = """
+t(N,g(_)):-N<0.
+t(N,f(M)):-M is N+1.
+tloop(0):-!.
+tloop(N):-t(N,X),X=f(_),N1 is N-1,tloop(N1).
+bloop(0):-!.
+bloop(N):-between(1,2,X),X>=2,N1 is N-1,bloop(N1).
+"""
+
+
+@pytest.mark.parametrize("goal", ["tloop(3000)", "bloop(3000)"])
+def test_last_alternative_leaves_nothing_on_the_trail(goal):
+    # the last clause of t/2 and the last value of between/3 bind an older
+    # variable; the choice point is gone by then, so nothing is trailed
+    m = machine(Session(text=TRUST), "ok", goal)
+    assert type(m.resume()) is AnswerReady
+    assert len(m.cps) == 0
+    assert len(m.trail.entries) == 0
+
+
 # -- first-argument indexing and head unification --------------------------------
 
 INDEXED = """
@@ -392,8 +414,3 @@ def test_head_compound_built_for_unbound_goal_variable_shares_slots():
     assert write_term(g.args[1]) == "z"
     assert write_term(s.first("T", "mk_bound(T,z)")) == "f(k,g(k,z))"
 
-
-def test_failed_alias():
-    from hornlog.machine import Failed
-
-    assert Failed is Exhausted

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from collections import Counter
@@ -169,6 +170,68 @@ def test_current_thread_stable(base):
     a = base.current_thread()
     b = base.current_thread()
     assert a.id == b.id
+
+
+def test_current_thread_never_hands_out_an_ended_threads_record(base):
+    # the OS gives an ended bg thread's ident to the next thread it starts
+    for _ in range(20):
+        ended = base.bg(parse_term("true")).thread
+        ended.join(timeout=5)
+        assert not ended.is_alive()
+        seen = []
+        t = threading.Thread(target=lambda: seen.append(base.current_thread().thread))
+        t.start()
+        t.join(timeout=5)
+        assert seen == [t]
+
+
+def test_an_id_of_one_kind_never_resolves_as_another():
+    lines = []
+    s = Session(on_error=lines.append)
+
+    def after_hub(goal):
+        return answers_str(s, "R", f"(hub_ms(0,H),H='$hub'(I),if(({goal}),R=yes,R=no))")
+
+    assert answers_str(s, "A", "(hub_ms(0,H),H='$hub'(I),get('$engine'(I),A))") == ["no"]
+    assert after_hub("to_engine('$engine'(I),x)") == ["no"]
+    assert after_hub("run_bg('$engine'(I),_)") == ["no"]
+    assert after_hub("join_thread('$thread'(I))") == ["no"]
+    assert after_hub("(new_engine(_,true,E),E='$engine'(J),put('$hub'(J),x))") == ["no"]
+    # stop on a hub's id leaves the hub in place
+    assert after_hub("(stop('$engine'(I)),put(H,x),collect(H,x))") == ["yes"]
+    assert lines == []
+    live = s.engine_count()
+    s.hub(0)
+    s.current_thread()
+    assert s.engine_count() == live
+
+
+def test_concurrent_stops_release_each_engine_once():
+    # eight threads stop the same engines: each leaves the table once
+    s = Session(prelude=False, text="p.")
+    ids = [s.new_engine("x", "p").id for _ in range(2000)]
+    errors = []
+
+    def stop_all():
+        try:
+            for eid in ids:
+                s.stop_id(eid)
+        except Exception as e:
+            errors.append(e)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=stop_all) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    assert s.engine_count() == 0
 
 
 def test_sleep_ms_waits(base):
