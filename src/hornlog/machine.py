@@ -8,6 +8,13 @@ per resolution step; deep deterministic recursion therefore runs in
 constant space (old goal cells become garbage as soon as no choice point
 references them).
 
+Every call site is resolved once, when its clause is added, to the
+database's record (Pred) for its name/arity, so a goal on the stack is a
+(record, argument tuple) pair: running it reads the record's builtin or
+asks the database for its candidate clauses, with no goal term built and
+no key or table lookup per call. A body cut is a goal of an internal
+record that carries its clause's barrier.
+
 Bindings are trailed conditionally: a variable younger than the newest
 choice point would die with the backtrack anyway, so it is not recorded.
 With no choice points at all nothing is trailed, which is what keeps
@@ -110,7 +117,10 @@ class Clause:
 
     Templates are ordinary terms except that variables are VarSlot markers
     and any compound containing one is a (functor, args) pair. Ground
-    subterms are shared, never rebuilt.
+    subterms are shared, never rebuilt. Each body goal is (pred, args,
+    build): the record it calls and its argument templates, which are the
+    ready argument tuple when build is false. A cut has args None: it is
+    pushed with its clause's barrier as its argument.
     """
 
     __slots__ = ("args", "body", "nvars", "origin")
@@ -187,10 +197,10 @@ def _unify_head(tpls, args, fresh, trail) -> bool:
 
 ATOM_TRUE = Atom("true")
 ATOM_CUT = Atom("!")
-ATOM_NO = Atom("no")
 
 
-def compile_clause(head, body, origin=None) -> Clause:
+def compile_clause(head, body, db: "Database", origin=None) -> Clause:
+    """Compile a clause, resolving each body call site to its record in db."""
     slots: dict[Var, VarSlot] = {}
 
     def tpl(t):
@@ -214,13 +224,23 @@ def compile_clause(head, body, origin=None) -> Clause:
 
     def flatten(b):
         b = deref(b)
-        if type(b) is Struct and b.name == "," and len(b.args) == 2:
+        tb = type(b)
+        if tb is Struct and b.name == "," and len(b.args) == 2:
             flatten(b.args[0])
             flatten(b.args[1])
         elif b is ATOM_TRUE:
             pass
-        else:
-            goals.append(tpl(b))
+        elif b is ATOM_CUT:
+            goals.append((_CUT, None, False))
+        elif tb is Struct:
+            t = tpl(b)
+            build = type(t) is tuple  # else t is the ground goal b itself
+            goals.append((db.pred((b.functor, len(b.args))), t[1] if build else b.args, build))
+        elif tb is Atom:
+            goals.append((db.pred((b.sym, 0)), (), False))
+        else:  # a variable, or a term that faults only when it is reached
+            a = tpl(b)
+            goals.append((_METACALL, (a,), type(a) is VarSlot))
 
     flatten(body)
     return Clause(cargs, tuple(goals), len(slots), origin)
@@ -243,15 +263,37 @@ def _index_key(t):
     return None
 
 
+class Pred:
+    """A predicate record: what every call site of one name/arity resolves
+    to. fn is the builtin of the key, read from BUILTINS when the record is
+    made, and takes precedence over clauses, which is None for a predicate
+    with no clauses. index holds the first-argument index once the
+    database freezes: (clauses per first-argument key, clauses with a
+    variable first argument)."""
+
+    __slots__ = ("key", "clauses", "index", "fn")
+
+    def __init__(self, key, fn):
+        self.key = key
+        self.clauses = None
+        self.index = None
+        self.fn = fn
+
+
 class Database:
-    """Clause store indexed by functor/arity and, once frozen, by the first
-    argument of each multi-clause predicate; immutable once frozen."""
+    """One predicate record per functor/arity, each multi-clause predicate
+    indexed on its first argument once frozen; immutable once frozen."""
 
     def __init__(self):
-        self._preds: dict[tuple[Symbol, int], list[Clause]] = {}
-        # key -> (clauses per first-argument key, clauses with a variable first argument)
-        self._index: dict[tuple[Symbol, int], tuple[dict, list[Clause]]] = {}
+        self._preds: dict[tuple[Symbol, int], Pred] = {}
         self.frozen = False
+
+    def pred(self, key) -> Pred:
+        """The record of key, made on first use while the database is open."""
+        p = self._preds.get(key)
+        if p is None:
+            p = self._preds[key] = Pred(key, BUILTINS.get(key))
+        return p
 
     def add(self, head, body, origin=None):
         if self.frozen:
@@ -264,12 +306,17 @@ class Database:
             key = (head.functor, len(head.args))
         else:
             raise ValueError("clause head must be an atom or compound")
-        self._preds.setdefault(key, []).append(compile_clause(head, body, origin))
+        cl = compile_clause(head, body, self, origin)
+        p = self.pred(key)
+        if p.clauses is None:
+            p.clauses = []
+        p.clauses.append(cl)
 
     def freeze(self):
         self.frozen = True
-        for key, clauses in self._preds.items():
-            if len(clauses) < 2 or key[1] == 0:
+        for p in self._preds.values():
+            clauses = p.clauses
+            if clauses is None or len(clauses) < 2 or p.key[1] == 0:
                 continue
             table: dict = {}
             unkeyed: list[Clause] = []
@@ -284,32 +331,45 @@ class Database:
                 else:
                     table[k] = unkeyed + [cl]
             if table:
-                self._index[key] = (table, unkeyed)
+                p.index = (table, unkeyed)
 
-    def lookup(self, key, args):
+    def resolve(self, t, extra=()):
+        """The goal (record, args) that calls term t with extra appended to
+        its arguments; faults on a variable or a non-callable term. A key
+        with no record gets a transient one: the frozen table, which
+        threads share without a lock, never grows."""
+        t = deref(t)
+        tt = type(t)
+        if tt is Struct:
+            args = t.args + extra if extra else t.args
+            key = (t.functor, len(args))
+        elif tt is Atom:
+            args = extra
+            key = (t.sym, len(args))
+        elif tt is Var:
+            raise MachineFault("instantiation_error", t)
+        else:
+            raise MachineFault("type_error", t)
+        p = self._preds.get(key)
+        if p is None:
+            p = Pred(key, BUILTINS.get(key))
+        return p, args
+
+    def lookup(self, pred: Pred, args):
         """Clauses that may match a call, in source order; None when the
-        predicate is unknown. A bound first argument selects only the
+        predicate has none. A bound first argument selects only the
         clauses whose first argument has its key or is a variable."""
-        index = self._index.get(key)
+        index = pred.index
         if index is not None:
             k = _index_key(args[0])
             if k is not None:
                 table, unkeyed = index
                 return table.get(k, unkeyed)
-        return self._preds.get(key)
+        return pred.clauses
 
 
 # ---------------------------------------------------------------------------
 # choice points
-
-
-class _Cut:
-    """Goal-stack marker: prune choice points above `height`."""
-
-    __slots__ = ("height",)
-
-    def __init__(self, height):
-        self.height = height
 
 
 class ClauseCP:
@@ -402,7 +462,7 @@ class Machine:
         self.trail.boundary = 0  # no choice points yet: trail nothing
         vmap: dict = {}
         self.pattern = copy_term(pattern, vmap)
-        self.goals = (copy_term(g, vmap), None)
+        self.goals = (db.resolve(copy_term(g, vmap)), None)
         self.cps: list = []
         self.mailbox: deque = deque()
         self.dead = False
@@ -447,31 +507,14 @@ class Machine:
     # -- resolution ----------------------------------------------------------
 
     def _run(self):
-        builtins = BUILTINS
-        db = self.db
+        lookup = self.db.lookup
         while True:
             goals = self.goals
             if goals is None:
                 self._awaiting_redo = True
                 return AnswerReady(copy_term(self.pattern))
-            goal, rest = goals
-            goal = deref(goal)
-            tg = type(goal)
-            if tg is Struct:
-                key = (goal.functor, len(goal.args))
-                args = goal.args
-            elif tg is Atom:
-                key = (goal.sym, 0)
-                args = ()
-            elif tg is _Cut:
-                self._cut_to(goal.height)
-                self.goals = rest
-                continue
-            elif tg is Var:
-                raise MachineFault("instantiation_error", goal)
-            else:
-                raise MachineFault("type_error", goal)
-            fn = builtins.get(key)
+            (pred, args), rest = goals
+            fn = pred.fn
             if fn is not None:
                 res = fn(self, args, rest)
                 if res is True:
@@ -484,11 +527,10 @@ class Machine:
                 if res is None:  # builtin updated self.goals itself
                     continue
                 return res  # a Yielded event
-            clauses = db.lookup(key, args)
+            clauses = lookup(pred, args)
             if clauses is None:
-                raise MachineFault(
-                    "unknown_predicate", Struct("/", (Atom(key[0].text), Int(key[1])))
-                )
+                name, arity = pred.key
+                raise MachineFault("unknown_predicate", Struct("/", (Atom(name.text), Int(arity))))
             if not self._call_pred(args, rest, clauses):
                 if not self._backtrack():
                     return self._exhaust()
@@ -512,11 +554,26 @@ class Machine:
 
     def _push_body(self, cl: Clause, fresh, rest, barrier):
         g = rest
-        for tpl in reversed(cl.body):
-            if tpl is ATOM_CUT:
-                g = (_Cut(barrier), g)
-            else:
-                g = (_build(tpl, fresh), g)
+        for pred, args, build in reversed(cl.body):
+            if build:
+                # _build's loop without the goal Struct, inline: a helper
+                # call would deepen the host stack where nested gets overflow
+                built = []
+                for a in args:
+                    ta = type(a)
+                    if ta is VarSlot:
+                        v = fresh[a.index]
+                        if v is None:
+                            v = fresh[a.index] = Var()
+                        built.append(v)
+                    elif ta is tuple:
+                        built.append(_build(a, fresh))
+                    else:
+                        built.append(a)
+                args = tuple(built)
+            elif args is None:  # a cut carries its clause's barrier
+                args = barrier
+            g = ((pred, args), g)
         return g
 
     def _backtrack(self) -> bool:
@@ -540,12 +597,6 @@ class Machine:
         cps = self.cps
         cps.pop()
         self.trail.boundary = cps[-1].stamp if cps else 0
-
-    def _cut_to(self, height):
-        cps = self.cps
-        if len(cps) > height:
-            del cps[height:]
-            self.trail.boundary = cps[-1].stamp if cps else 0
 
     def _exhaust(self):
         self.kill()
@@ -688,32 +739,33 @@ _arith_cmp(">=", lambda a, b: a >= b)
 
 @builtin(",", 2)
 def _bi_conj(m, args, rest):
-    # conjunctions reach dispatch only through metacalls
-    m.goals = (args[0], (args[1], rest))
+    # conjunctions reach dispatch only through metacalls; the right-hand
+    # goal is resolved when it is reached, after the left one has run
+    m.goals = (m.db.resolve(args[0]), ((_METACALL, args[1:]), rest))
     return None
 
 
 def _bi_call(m, args, rest):
-    g = deref(args[0])
-    tg = type(g)
-    if tg is Var:
-        raise MachineFault("instantiation_error", g)
-    extra = args[1:]
-    if extra:
-        if tg is Atom:
-            g = Struct(g.sym, extra)
-        elif tg is Struct:
-            g = Struct(g.functor, g.args + extra)
-        else:
-            raise MachineFault("type_error", g)
-    elif tg not in (Atom, Struct):
-        raise MachineFault("type_error", g)
-    m.goals = (g, rest)
+    m.goals = (m.db.resolve(args[0], args[1:]), rest)
     return None
 
 
 for _n in range(1, 6):
     BUILTINS[(Symbol("call"), _n)] = _bi_call
+
+
+def _cut(m, barrier, rest):
+    cps = m.cps
+    if len(cps) > barrier:
+        del cps[barrier:]
+        m.trail.boundary = cps[-1].stamp if cps else 0
+    return True
+
+
+# records of the body cut and of a body goal that is a variable or not
+# callable; they are not in BUILTINS, so no tracer counts them as builtins
+_CUT = Pred((Symbol("!"), 0), _cut)
+_METACALL = Pred((Symbol("call"), 1), _bi_call)
 
 
 @builtin("between", 3)

@@ -162,7 +162,12 @@ class Session:
         return self.run_bg_id(ref.id)
 
     def run_bg_id(self, eid: int) -> ThreadRef | None:
-        """Move an engine onto its own thread; the handle stops resolving."""
+        """Move an engine onto its own thread; the handle stops resolving.
+        Fails on a running engine, such as one given its own handle, whose
+        resume is still on a host stack."""
+        machine = self.lookup(eid, Machine)
+        if machine is None or machine.running:
+            return None
         machine = self._remove(eid, Machine)
         if machine is None or machine.dead:
             return None

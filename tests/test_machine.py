@@ -11,6 +11,7 @@ from hornlog import (
     MachineFault,
     Machine,
     Session,
+    Symbol,
     Var,
     Yielded,
     eval_arith,
@@ -414,3 +415,98 @@ def test_head_compound_built_for_unbound_goal_variable_shares_slots():
     assert write_term(g.args[1]) == "z"
     assert write_term(s.first("T", "mk_bound(T,z)")) == "f(k,g(k,z))"
 
+
+
+# -- dispatch through predicate records ---------------------------------------
+
+NREV = """
+nrev([],[]).
+nrev([H|T],R):-nrev(T,RT),app(RT,[H],R).
+app([],L,L).
+app([H|T],L,[H|R]):-app(T,L,R).
+"""
+
+
+def test_one_lookup_per_predicate_call_and_one_call_per_builtin():
+    # the benchmark's tracer counts Database.lookup through the class
+    # attribute and each BUILTINS entry as the session found it
+    from hornlog import machine as mach
+
+    counts = {"lookup": 0, ">": 0, "between": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    saved_lookup = mach.Database.lookup
+    saved = dict(mach.BUILTINS)
+    gt, between = (Symbol(">"), 2), (Symbol("between"), 3)
+    try:
+        mach.Database.lookup = counted("lookup", saved_lookup)
+        mach.BUILTINS[gt] = counted(">", saved[gt])
+        mach.BUILTINS[between] = counted("between", saved[between])
+        s = Session(text=NREV)
+        for n in (0, 1, 10, 30):
+            counts["lookup"] = 0
+            items = ",".join(map(str, range(n)))
+            assert s.first("R", f"nrev([{items}],R)") is not None
+            assert counts["lookup"] == (n + 1) * (n + 2) // 2
+        assert [v.value for v in s.answers("X", "(between(1,5,X),X>2)")] == [3, 4, 5]
+        assert counts[">"] == 5 and counts["between"] == 1
+    finally:
+        mach.Database.lookup = saved_lookup
+        mach.BUILTINS.clear()
+        mach.BUILTINS.update(saved)
+
+
+def _errors(text):
+    lines = []
+    return Session(text=text, on_error=lines.append), lines
+
+
+def test_call_site_before_its_definition_runs():
+    s = Session(text="p(X):-q(X),r(X). q(1). r(1).")
+    assert [v.value for v in s.answers("X", "p(X)")] == [1]
+
+
+def test_undefined_predicate_faults_when_reached():
+    s, lines = _errors("p(X):-nope(X). p2:-fail,nope(1).")
+    assert lines == []
+    assert s.answers("X", "p2") == []
+    assert lines == []
+    assert s.answers("X", "p(1)") == []
+    assert s.answers("X", "call(nope,1)") == []
+    assert len(lines) == 2
+    assert all(line.endswith("unknown_predicate: nope/1") for line in lines)
+
+
+def test_goal_bound_at_run_time():
+    s = Session(text="q(X):-G=member(X,[1,2]),G,X>1.")
+    assert [v.value for v in s.answers("X", "q(X)")] == [2]
+    assert s.first("G", "call((G=true,G))") is not None
+
+
+def test_non_callable_body_goal_faults_only_when_reached():
+    s, lines = _errors("p:-fail,3. p3:-3.")
+    assert s.answers("X", "p") == []
+    assert lines == []
+    assert s.answers("X", "p3") == []
+    assert len(lines) == 1 and lines[0].endswith("type_error: 3")
+
+
+def test_builtin_wins_over_program_clauses():
+    s = Session(text="fail. t:-fail.")
+    assert s.answers("X", "fail") == []
+    assert s.answers("X", "t") == []
+
+
+def test_metacalls_of_undefined_predicates_never_grow_the_table():
+    s, lines = _errors("")
+    size = len(s.db._preds)
+    for i in range(50):
+        assert s.answers("X", f"call(undefined_{i},X)") == []
+    assert len(lines) == 50
+    assert len(s.db._preds) == size

@@ -129,6 +129,28 @@ def test_run_bg_on_dead_engine_fails(base):
     assert got == ["failed"]
 
 
+def test_run_bg_of_a_running_engine_fails(monkeypatch):
+    # an engine that hands its own handle to run_bg is running: no new
+    # thread may resume it while its own resume is still on the stack
+    started = []
+    start = threading.Thread.start
+
+    def record_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record_start)
+    events = []
+    s = Session(on_event=lambda eid, ev: events.append((eid, ev, threading.current_thread())))
+    e = s.new_engine("T", "(from_engine(E),run_bg(E,T),between(1,3,X),X>=3)")
+    assert e.to_engine(e.term)
+    assert e.get() is NO
+    assert started == []
+    assert [(eid, type(ev).__name__) for eid, ev, _ in events] == [(e.id, "Exhausted")]
+    assert all(thread is threading.current_thread() for _, _, thread in events)
+    assert s.engine_count() == 0
+
+
 def test_bg_launches_goal_thread(base):
     h = base.hub(0)
     got = answers_str(
