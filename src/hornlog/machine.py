@@ -15,6 +15,13 @@ asks the database for its candidate clauses, with no goal term built and
 no key or table lookup per call. A body cut is a goal of an internal
 record that carries its clause's barrier.
 
+A clause is tried by one Python function generated for it, in the spirit
+of the WAM's get/unify/put instructions: the function unifies the head
+with the goal's arguments, with a test specialised to each head node, and
+returns the goal chain with the body pushed. It is generated and compiled
+the first time the clause is tried, so loading a program compiles nothing
+and a clause never called costs nothing.
+
 Bindings are trailed conditionally: a variable younger than the newest
 choice point would die with the backtrack anyway, so it is not recorded.
 With no choice points at all nothing is trailed, which is what keeps
@@ -113,86 +120,248 @@ class VarSlot:
 
 
 class Clause:
-    """A compiled clause: head-argument and body templates plus the frame size.
+    """A clause as loaded: head-argument and body templates, compiled to a
+    Python function the first time the clause is tried.
 
     Templates are ordinary terms except that variables are VarSlot markers
     and any compound containing one is a (functor, args) pair. Ground
-    subterms are shared, never rebuilt. Each body goal is (pred, args,
-    build): the record it calls and its argument templates, which are the
-    ready argument tuple when build is false. A cut has args None: it is
+    subterms are shared, never rebuilt. Each body goal is (pred, args): the
+    record it calls and its argument templates. A cut has args None: it is
     pushed with its clause's barrier as its argument.
+
+    run(args, trail, rest, barrier), made by compile() and None until then,
+    unifies the head with a goal's arguments and returns rest with the body
+    pushed onto it, or False when the head does not match. The generated
+    code is named after key (the predicate) and origin (source, line).
     """
 
-    __slots__ = ("args", "body", "nvars", "origin")
+    __slots__ = ("key", "args", "body", "origin", "run")
 
-    def __init__(self, args, body, nvars, origin=None):
+    def __init__(self, key, args, body, origin=None):
+        self.key = key
         self.args = args
         self.body = body
-        self.nvars = nvars
         self.origin = origin
+        self.run = None
+
+    def source(self) -> tuple[str, list]:
+        """The source of a function make(k0, k1, ...) that returns run, and
+        the values to call it with: the terms and records run uses."""
+        src = _ClauseSource(self)
+        return src.text(), src.values()
+
+    def compile(self):
+        """Generate and compile run, keep it, and return it. Threads that
+        race here each keep an equivalent function; the last one stays."""
+        text, values = self.source()
+        name, arity = self.key
+        where = "" if self.origin is None else " at {}:{}".format(*self.origin)
+        code = compile(text, f"<{name.text}/{arity}{where}>", "exec", dont_inherit=True)
+        ns: dict = {}
+        exec(code, globals(), ns)  # unify and the rest are read from this module
+        self.run = run = ns["make"](*values)
+        return run
 
 
-def _build(tpl, fresh):
-    """Instantiate a template; a slot not yet filled gets a new Var."""
-    t = type(tpl)
-    if t is VarSlot:
-        v = fresh[tpl.index]
-        if v is None:
-            v = fresh[tpl.index] = Var()
-        return v
-    if t is tuple:
-        args = []
-        for a in tpl[1]:  # leaves inline: most arguments are slots or constants
-            ta = type(a)
-            if ta is VarSlot:
-                v = fresh[a.index]
-                if v is None:
-                    v = fresh[a.index] = Var()
-                args.append(v)
-            elif ta is tuple:
-                args.append(_build(a, fresh))
-            else:
-                args.append(a)
-        return Struct(tpl[0], args)
-    return tpl
+new = object.__new__  # generated code makes a Struct without running __init__
 
 
-def _unify_head(tpls, args, fresh, trail) -> bool:
-    """Unify head-argument templates with a goal's arguments in place.
+class _ClauseSource:
+    """The source of one clause's run function.
 
-    A slot's first occurrence takes the goal subterm as it is; only later
-    occurrences unify. A compound template is built only where it meets an
-    unbound goal variable. On failure, bindings already made are left for
-    the caller's backtrack to undo.
+    Every term and record reaches the function as a closure value k<n>;
+    the source names nothing else but numbered temporaries and this
+    module's globals, so no clause text can end up in it. Each template
+    node adds a few lines, nested at most two blocks deep in run whatever
+    the depth of its term, so the source is linear in the clause and meets
+    none of the compiler's nesting limits.
+
+    The head is matched in pre-order. A compound's goal subterm is checked
+    and its arguments are unpacked into the temporaries of the steps below
+    it. Where that subterm is an unbound variable, or the compound lies
+    inside one being built, the compound is built instead: its arguments'
+    first slot occurrences get new variables, the steps below it see None
+    and skip, and a closing step after them makes the Struct and binds the
+    goal variable to it.
     """
-    for tpl, a in zip(tpls, args):
-        t = type(tpl)
-        if t is VarSlot:
-            i = tpl.index
-            v = fresh[i]
-            if v is None:
-                fresh[i] = a
-            elif not unify(v, a, trail):
-                return False
-            continue
-        a = deref(a)
-        ta = type(a)
-        if ta is Var:
-            bind(a, _build(tpl, fresh) if t is tuple else tpl, trail)
-        elif t is tuple:
-            if (
-                ta is not Struct
-                or a.functor is not tpl[0]
-                or len(a.args) != len(tpl[1])
-                or not _unify_head(tpl[1], a.args, fresh, trail)
-            ):
-                return False
-        elif t is Atom:  # interned: distinct objects are distinct atoms
-            if a is not tpl:
-                return False
-        elif not unify(tpl, a, trail):  # an integer or a ground compound
-            return False
-    return True
+
+    def __init__(self, cl: Clause):
+        self.lines: list[str] = []
+        self.consts: dict[int, tuple[str, object]] = {}  # id -> (name, value)
+        self.ntemps = 0
+        self.built: dict[int, str] = {}  # id of a compound template -> its Struct's name
+        self.first = _first_occurrences(cl.args)
+        self.head(cl.args)
+        self.body(cl.body)
+
+    def text(self) -> str:
+        names = ", ".join(name for name, _ in self.consts.values())
+        return "\n".join(
+            [f"def make({names}):", "    def run(args, trail, rest, barrier):", *self.lines, "    return run", ""]
+        )
+
+    def values(self) -> list:
+        return [value for _, value in self.consts.values()]
+
+    def const(self, value) -> str:
+        entry = self.consts.get(id(value))
+        if entry is None:
+            entry = self.consts[id(value)] = (f"k{len(self.consts)}", value)
+        return entry[0]
+
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * (depth + 2) + line)
+
+    def struct(self, depth: int, t) -> str:
+        """Make the Struct of compound template t, whose compound arguments
+        are made already, without running Struct.__init__; return its name."""
+        functor, targs = t
+        parts = [
+            f"v{a.index}" if type(a) is VarSlot else self.built[id(a)] if type(a) is tuple else self.const(a)
+            for a in targs
+        ]
+        self.ntemps += 1
+        b = self.built[id(t)] = f"b{self.ntemps}"
+        self.emit(depth, f"{b} = new(Struct)")
+        self.emit(depth, f"{b}.functor = {self.const(functor)}")
+        self.emit(depth, f"{b}.args = {', '.join(parts)},")
+        return b
+
+    # -- head ----------------------------------------------------------------
+
+    def unpacked(self, parent, tpls):
+        """Names to unpack a compound's goal arguments into, the slots that
+        occur first there, and the (name, template) of each argument that
+        needs a step: a slot's first occurrence just takes its subterm."""
+        names, firsts, steps = [], [], []
+        for i, t in enumerate(tpls):
+            if type(t) is VarSlot and self.first[t.index] == (parent, i):
+                names.append(f"v{t.index}")
+                firsts.append(names[-1])
+            else:
+                self.ntemps += 1
+                names.append(f"a{self.ntemps}")
+                steps.append((names[-1], t))
+        return names, firsts, steps
+
+    def head(self, tpls) -> None:
+        names, _, steps = self.unpacked(None, tpls)
+        if names:
+            self.emit(0, f"{', '.join(names)}, = args")
+        # (temporary, template, is a head argument, is a closing step)
+        work = [(name, t, True, False) for name, t in reversed(steps)]
+        while work:
+            name, t, root, closing = work.pop()
+            if closing:
+                self.emit(0, f"if type({name}) is not Struct:")
+                b = self.struct(1, t)
+                if not root:
+                    self.emit(1, f"if {name} is not None:")
+                self.emit(1 if root else 2, f"bind({name}, {b}, trail)")
+                continue
+            live = "" if root else f"{name} is not None and "  # None: inside a built compound
+            if type(t) is VarSlot:  # a later occurrence
+                self.emit(0, f"if {live}not unify(v{t.index}, {name}, trail):")
+                self.emit(1, "return False")
+                continue
+            self.emit(0, f"while type({name}) is Var and {name}.ref is not None:")
+            self.emit(1, f"{name} = {name}.ref")
+            if type(t) is tuple:
+                steps = self.open(name, t, root)
+                work.append((name, t, root, True))
+                work.extend((n, a, False, False) for n, a in reversed(steps))
+                continue
+            k = self.const(t)
+            self.emit(0, f"if type({name}) is Var:")
+            self.emit(1, f"bind({name}, {k}, trail)")
+            if type(t) is Atom:  # interned: distinct objects are distinct atoms
+                self.emit(0, f"elif {live}{name} is not {k}:")
+            else:  # an integer or a ground compound
+                self.emit(0, f"elif {live}not unify({k}, {name}, trail):")
+            self.emit(1, "return False")
+
+    def open(self, name: str, t, root: bool) -> list:
+        """A compound's check: unpack a matching goal subterm, or start
+        building where the subterm is an unbound variable or None. Returns
+        the steps of its arguments."""
+        functor, targs = t
+        names, firsts, steps = self.unpacked(id(t), targs)
+        self.emit(
+            0,
+            f"if type({name}) is Struct and {name}.functor is {self.const(functor)}"
+            f" and len({name}.args) == {len(targs)}:",
+        )
+        self.emit(1, f"{', '.join(names)}, = {name}.args")
+        self.emit(0, f"elif type({name}) is Var{'' if root else f' or {name} is None'}:")
+        for v in firsts:
+            self.emit(1, f"{v} = Var()")
+        if steps:
+            self.emit(1, f"{' = '.join(n for n, _ in steps)} = None")
+        elif not firsts:
+            self.emit(1, "pass")
+        self.emit(0, "else:")
+        self.emit(1, "return False")
+        return steps
+
+    # -- body ----------------------------------------------------------------
+
+    def body(self, goals) -> None:
+        """Push the goals from the last to the first, each with its
+        argument tuple built; a slot the head did not bind gets a new
+        variable where it is first met."""
+        assigned = set(self.first)
+        chain = "rest"
+        for pred, args in reversed(goals):
+            if args is None:  # a cut carries its clause's barrier
+                goal = f"({self.const(pred)}, barrier)"
+            elif not any(type(a) in (VarSlot, tuple) for a in args):
+                goal = self.const((pred, args))
+            else:
+                parts = [self.build(a, assigned) for a in args]
+                goal = f"({self.const(pred)}, ({', '.join(parts)},))"
+            self.emit(0, f"g = {goal}, {chain}")
+            chain = "g"
+        self.emit(0, f"return {chain}")
+
+    def build(self, tpl, assigned: set) -> str:
+        """Emit the statements that build tpl and return its name: new
+        variables in pre-order, then the Structs bottom-up."""
+        if type(tpl) is not VarSlot and type(tpl) is not tuple:
+            return self.const(tpl)
+        work = [tpl]
+        while work:
+            t = work.pop()
+            if type(t) is VarSlot:
+                if t.index not in assigned:
+                    assigned.add(t.index)
+                    self.emit(0, f"v{t.index} = Var()")
+            elif type(t) is tuple:
+                work.extend(reversed(t[1]))
+        if type(tpl) is VarSlot:
+            return f"v{tpl.index}"
+        work = [(tpl, False)]
+        while work:
+            t, done = work.pop()
+            if done:
+                self.struct(0, t)
+            else:
+                work.append((t, True))
+                work.extend((a, False) for a in t[1] if type(a) is tuple)
+        return self.built[id(tpl)]
+
+
+def _first_occurrences(tpls) -> dict:
+    """Where each head slot occurs first, in pre-order: (id of the
+    enclosing compound template, or None for a head argument; position)."""
+    first: dict[int, tuple] = {}
+    work = [(None, i, t) for i, t in reversed(list(enumerate(tpls)))]
+    while work:
+        parent, i, t = work.pop()
+        if type(t) is VarSlot:
+            first.setdefault(t.index, (parent, i))
+        elif type(t) is tuple:
+            work.extend((id(t), j, t[1][j]) for j in reversed(range(len(t[1]))))
+    return first
 
 
 ATOM_TRUE = Atom("true")
@@ -200,50 +369,75 @@ ATOM_CUT = Atom("!")
 
 
 def compile_clause(head, body, db: "Database", origin=None) -> Clause:
-    """Compile a clause, resolving each body call site to its record in db."""
+    """Compile a clause to templates, resolving each body call site to its
+    record in db. Terms are walked with explicit stacks, so a clause may
+    hold a list of any length the reader accepts."""
     slots: dict[Var, VarSlot] = {}
+
+    def slot(v):
+        s = slots.get(v)
+        if s is None:
+            s = slots[v] = VarSlot(len(slots))
+        return s
 
     def tpl(t):
         t = deref(t)
-        tt = type(t)
-        if tt is Var:
-            s = slots.get(t)
-            if s is None:
-                s = slots[t] = VarSlot(len(slots))
-            return s
-        if tt is Struct:
-            args = tuple(tpl(a) for a in t.args)
-            if any(type(a) in (VarSlot, tuple) for a in args):
-                return (t.functor, args)
+        if type(t) is Var:
+            return slot(t)
+        if type(t) is not Struct:
             return t
-        return t
+        # frames of the compounds being converted: [term, converted
+        # arguments, whether one of them holds a slot]
+        stack = [[t, [], False]]
+        while True:
+            frame = stack[-1]
+            node, done, has_slot = frame
+            if len(done) == len(node.args):
+                stack.pop()
+                res = (node.functor, tuple(done)) if has_slot else node
+                if not stack:
+                    return res
+                stack[-1][1].append(res)
+                if has_slot:
+                    stack[-1][2] = True
+                continue
+            a = deref(node.args[len(done)])
+            ta = type(a)
+            if ta is Var:
+                done.append(slot(a))
+                frame[2] = True
+            elif ta is Struct:
+                stack.append([a, [], False])
+            else:
+                done.append(a)
 
     head = deref(head)
-    cargs = tuple(tpl(a) for a in head.args) if type(head) is Struct else ()
+    if type(head) is Struct:
+        key = (head.functor, len(head.args))
+        cargs = tuple(tpl(a) for a in head.args)
+    else:
+        key = (head.sym, 0)
+        cargs = ()
     goals: list = []
-
-    def flatten(b):
-        b = deref(b)
+    work = [body]
+    while work:
+        b = deref(work.pop())
         tb = type(b)
         if tb is Struct and b.name == "," and len(b.args) == 2:
-            flatten(b.args[0])
-            flatten(b.args[1])
+            work.append(b.args[1])
+            work.append(b.args[0])
         elif b is ATOM_TRUE:
             pass
         elif b is ATOM_CUT:
-            goals.append((_CUT, None, False))
+            goals.append((_CUT, None))
         elif tb is Struct:
             t = tpl(b)
-            build = type(t) is tuple  # else t is the ground goal b itself
-            goals.append((db.pred((b.functor, len(b.args))), t[1] if build else b.args, build))
+            goals.append((db.pred((b.functor, len(b.args))), t[1] if type(t) is tuple else b.args))
         elif tb is Atom:
-            goals.append((db.pred((b.sym, 0)), (), False))
+            goals.append((db.pred((b.sym, 0)), ()))
         else:  # a variable, or a term that faults only when it is reached
-            a = tpl(b)
-            goals.append((_METACALL, (a,), type(a) is VarSlot))
-
-    flatten(body)
-    return Clause(cargs, tuple(goals), len(slots), origin)
+            goals.append((_METACALL, (tpl(b),)))
+    return Clause(key, cargs, tuple(goals), origin)
 
 
 def _index_key(t):
@@ -298,16 +492,10 @@ class Database:
     def add(self, head, body, origin=None):
         if self.frozen:
             raise RuntimeError("database is frozen")
-        head = deref(head)
-        th = type(head)
-        if th is Atom:
-            key = (head.sym, 0)
-        elif th is Struct:
-            key = (head.functor, len(head.args))
-        else:
+        if type(deref(head)) not in (Atom, Struct):
             raise ValueError("clause head must be an atom or compound")
         cl = compile_clause(head, body, self, origin)
-        p = self.pred(key)
+        p = self.pred(cl.key)
         if p.clauses is None:
             p.clauses = []
         p.clauses.append(cl)
@@ -397,10 +585,10 @@ class ClauseCP:
                 # the last alternative runs without this choice point, so
                 # its bindings are trailed only against older ones
                 m._pop_cp()
-            fresh = [None] * cl.nvars
-            if _unify_head(cl.args, args, fresh, trail):
+            goals = (cl.run or cl.compile())(args, trail, self.rest, self.barrier)
+            if goals is not False:
                 self.cursor = i
-                m.goals = m._push_body(cl, fresh, self.rest, self.barrier)
+                m.goals = goals
                 return True
             trail.undo_to(self.trailmark)
         return False
@@ -539,11 +727,11 @@ class Machine:
         n = len(clauses)
         if n == 1:
             cl = clauses[0]
-            fresh = [None] * cl.nvars
-            if _unify_head(cl.args, args, fresh, self.trail):
-                self.goals = self._push_body(cl, fresh, rest, len(self.cps))
-                return True
-            return False
+            goals = (cl.run or cl.compile())(args, self.trail, rest, len(self.cps))
+            if goals is False:
+                return False
+            self.goals = goals
+            return True
         if n == 0:
             return False
         # the choice point must exist before head unification so that the
@@ -551,30 +739,6 @@ class Machine:
         cp = ClauseCP(args, rest, clauses, self.trail.mark(), len(self.cps))
         self._push_cp(cp)
         return cp.retry(self)
-
-    def _push_body(self, cl: Clause, fresh, rest, barrier):
-        g = rest
-        for pred, args, build in reversed(cl.body):
-            if build:
-                # _build's loop without the goal Struct, inline: a helper
-                # call would deepen the host stack where nested gets overflow
-                built = []
-                for a in args:
-                    ta = type(a)
-                    if ta is VarSlot:
-                        v = fresh[a.index]
-                        if v is None:
-                            v = fresh[a.index] = Var()
-                        built.append(v)
-                    elif ta is tuple:
-                        built.append(_build(a, fresh))
-                    else:
-                        built.append(a)
-                args = tuple(built)
-            elif args is None:  # a cut carries its clause's barrier
-                args = barrier
-            g = ((pred, args), g)
-        return g
 
     def _backtrack(self) -> bool:
         # a choice point pops itself before its last alternative (WAM
