@@ -10,10 +10,14 @@ references them).
 
 Every call site is resolved once, when its clause is added, to the
 database's record (Pred) for its name/arity, so a goal on the stack is a
-(record, argument tuple) pair: running it reads the record's builtin or
-asks the database for its candidate clauses, with no goal term built and
-no key or table lookup per call. A body cut is a goal of an internal
-record that carries its clause's barrier.
+(record, argument tuple) pair, with no goal term built and no key or table
+lookup per call. Every record carries an entry with the builtin signature
+fn(machine, args, rest), and running a goal is one call of its record's
+entry: a builtin, the clause entry of a predicate with clauses, or an
+entry that faults unknown_predicate. The machine's own steps are goals of
+internal records too: a body cut carries its clause's barrier, the goal
+below a query's goal hands out its answer, and an answered machine is left
+a fail goal, so resuming it backtracks into its choice points.
 
 A clause is tried by one Python function generated for it, in the spirit
 of the WAM's get/unify/put instructions: the function unifies the head
@@ -24,8 +28,9 @@ and a clause never called costs nothing.
 
 Bindings are trailed conditionally: a variable younger than the newest
 choice point would die with the backtrack anyway, so it is not recorded.
-With no choice points at all nothing is trailed, which is what keeps
-infinite server loops memory-flat.
+With no choice points at all nothing is trailed, and a cut drops the
+entries no remaining choice point can undo, which is what keeps infinite
+server loops memory-flat.
 """
 
 from __future__ import annotations
@@ -459,10 +464,13 @@ def _index_key(t):
 
 class Pred:
     """A predicate record: what every call site of one name/arity resolves
-    to. fn is the builtin of the key, read from BUILTINS when the record is
-    made, and takes precedence over clauses, which is None for a predicate
-    with no clauses. index holds the first-argument index once the
-    database freezes: (clauses per first-argument key, clauses with a
+    to. fn is its entry, called as fn(machine, args, rest): the builtin of
+    the key, read from BUILTINS when the record is made, which takes
+    precedence over clauses (None if there are none); otherwise link()
+    makes the record a ClausePred or an UnknownPred as the database
+    freezes. Their fn is a method, so a record never refers to itself and
+    is freed with its session. index holds the first-argument index once
+    the database freezes: (clauses per first-argument key, clauses with a
     variable first argument)."""
 
     __slots__ = ("key", "clauses", "index", "fn")
@@ -472,6 +480,40 @@ class Pred:
         self.clauses = None
         self.index = None
         self.fn = fn
+
+    def link(self) -> None:
+        if self.fn is None:
+            self.__class__ = UnknownPred if self.clauses is None else ClausePred
+
+
+class ClausePred(Pred):
+    __slots__ = ()
+
+    def fn(self, m: "Machine", args, rest):
+        """Run the one candidate clause, or try several from a choice point."""
+        clauses = m.db.lookup(self, args)
+        if len(clauses) == 1:
+            cl = clauses[0]
+            goals = (cl.run or cl.compile())(args, m.trail, rest, len(m.cps))
+            if goals is False:
+                return False
+            m.goals = goals
+            return None
+        if not clauses:
+            return False
+        # the choice point must exist before head unification so that the
+        # bindings it makes are trailed against this choice point
+        cp = ClauseCP(args, rest, clauses, m.trail.mark(), len(m.cps))
+        m._push_cp(cp)
+        return None if cp.retry(m) else False
+
+
+class UnknownPred(Pred):
+    __slots__ = ()
+
+    def fn(self, m, args, rest):
+        name, arity = self.key
+        raise MachineFault("unknown_predicate", Struct("/", (Atom(name.text), Int(arity))))
 
 
 class Database:
@@ -503,6 +545,7 @@ class Database:
     def freeze(self):
         self.frozen = True
         for p in self._preds.values():
+            p.link()
             clauses = p.clauses
             if clauses is None or len(clauses) < 2 or p.key[1] == 0:
                 continue
@@ -541,12 +584,14 @@ class Database:
         p = self._preds.get(key)
         if p is None:
             p = Pred(key, BUILTINS.get(key))
+            p.link()
         return p, args
 
     def lookup(self, pred: Pred, args):
-        """Clauses that may match a call, in source order; None when the
-        predicate has none. A bound first argument selects only the
-        clauses whose first argument has its key or is a variable."""
+        """Clauses that may match a call of a predicate with clauses, in
+        source order; its clause entry asks once per call. A bound first
+        argument selects only the clauses whose first argument has its key
+        or is a variable."""
         index = pred.index
         if index is not None:
             k = _index_key(args[0])
@@ -584,7 +629,7 @@ class ClauseCP:
             if i == n:
                 # the last alternative runs without this choice point, so
                 # its bindings are trailed only against older ones
-                m._pop_cp()
+                m._cut(self.barrier)
             goals = (cl.run or cl.compile())(args, trail, self.rest, self.barrier)
             if goals is not False:
                 self.cursor = i
@@ -609,7 +654,7 @@ class BetweenCP:
         v = self.next
         self.next = v + 1
         if v == self.hi:
-            m._pop_cp()  # before binding, as in ClauseCP.retry
+            m._cut(len(m.cps) - 1)  # before binding, as in ClauseCP.retry
         bind(self.var, Int(v), m.trail)
         m.goals = self.rest
         return True
@@ -637,7 +682,6 @@ class Machine:
         "dead",
         "running",
         "id",
-        "_awaiting_redo",
     )
 
     def __init__(self, session, db: Database, pattern, goal):
@@ -650,13 +694,12 @@ class Machine:
         self.trail.boundary = 0  # no choice points yet: trail nothing
         vmap: dict = {}
         self.pattern = copy_term(pattern, vmap)
-        self.goals = (db.resolve(copy_term(g, vmap)), None)
+        self.goals = (db.resolve(copy_term(g, vmap)), _ANSWER)
         self.cps: list = []
         self.mailbox: deque = deque()
         self.dead = False
         self.running = False
         self.id = 0
-        self._awaiting_redo = False
 
     # -- client operations ---------------------------------------------------
 
@@ -666,10 +709,6 @@ class Machine:
             return EXHAUSTED
         self.running = True
         try:
-            if self._awaiting_redo:
-                self._awaiting_redo = False
-                if not self._backtrack():
-                    return self._exhaust()
             return self._run()
         except MachineFault as f:
             self.kill()
@@ -695,50 +734,18 @@ class Machine:
     # -- resolution ----------------------------------------------------------
 
     def _run(self):
-        lookup = self.db.lookup
         while True:
-            goals = self.goals
-            if goals is None:
-                self._awaiting_redo = True
-                return AnswerReady(copy_term(self.pattern))
-            (pred, args), rest = goals
-            fn = pred.fn
-            if fn is not None:
-                res = fn(self, args, rest)
-                if res is True:
-                    self.goals = rest
-                    continue
-                if res is False:
-                    if not self._backtrack():
-                        return self._exhaust()
-                    continue
-                if res is None:  # builtin updated self.goals itself
-                    continue
-                return res  # a Yielded event
-            clauses = lookup(pred, args)
-            if clauses is None:
-                name, arity = pred.key
-                raise MachineFault("unknown_predicate", Struct("/", (Atom(name.text), Int(arity))))
-            if not self._call_pred(args, rest, clauses):
+            (pred, args), rest = self.goals
+            res = pred.fn(self, args, rest)
+            if res is None:  # fn updated self.goals itself, as a clause entry does
+                continue
+            if res is True:
+                self.goals = rest
+            elif res is False:
                 if not self._backtrack():
                     return self._exhaust()
-
-    def _call_pred(self, args, rest, clauses) -> bool:
-        n = len(clauses)
-        if n == 1:
-            cl = clauses[0]
-            goals = (cl.run or cl.compile())(args, self.trail, rest, len(self.cps))
-            if goals is False:
-                return False
-            self.goals = goals
-            return True
-        if n == 0:
-            return False
-        # the choice point must exist before head unification so that the
-        # bindings it makes are trailed against this choice point
-        cp = ClauseCP(args, rest, clauses, self.trail.mark(), len(self.cps))
-        self._push_cp(cp)
-        return cp.retry(self)
+            else:  # an event
+                return res
 
     def _backtrack(self) -> bool:
         # a choice point pops itself before its last alternative (WAM
@@ -757,10 +764,22 @@ class Machine:
         self.cps.append(cp)
         self.trail.boundary = cp.stamp
 
-    def _pop_cp(self):
+    def _cut(self, height: int) -> None:
+        """Drop the choice points from height up, and the trail entries no
+        remaining one can undo: those of variables younger than the newest
+        remaining one, which die with the backtrack to it."""
         cps = self.cps
-        cps.pop()
-        self.trail.boundary = cps[-1].stamp if cps else 0
+        trail = self.trail
+        entries = trail.entries
+        mark = cps[height].trailmark  # entries below it are kept tidy already
+        del cps[height:]
+        if not cps:
+            trail.boundary = 0
+            entries.clear()
+            return
+        stamp = trail.boundary = cps[-1].stamp
+        if len(entries) > mark:
+            entries[mark:] = [v for v in entries[mark:] if v.serial < stamp]
 
     def _exhaust(self):
         self.kill()
@@ -775,45 +794,90 @@ _SQRT = Symbol("sqrt")
 
 def eval_arith(t) -> int:
     """Evaluate a ground integer expression: + - * / mod, unary -, and
-    integer(sqrt(N)) as the floor of the exact integer square root."""
+    integer(sqrt(N)) as the floor of the exact integer square root. An
+    expression of one operator on two integers, such as N-1, is evaluated
+    directly; any other over an explicit stack, so depth costs no host
+    stack."""
     t = deref(t)
     tt = type(t)
     if tt is Int:
         return t.value
-    if tt is Var:
-        raise MachineFault("instantiation_error", t)
-    if tt is Struct:
-        name = t.name
-        args = t.args
-        if len(args) == 2:
-            a = eval_arith(args[0])
-            b = eval_arith(args[1])
-            if name == "+":
-                return a + b
-            if name == "-":
-                return a - b
-            if name == "*":
-                return a * b
-            if name == "/":
-                if b == 0:
+    if tt is Struct and len(t.args) == 2:
+        a, b = t.args
+        a = deref(a)
+        b = deref(b)
+        if type(a) is Int and type(b) is Int:
+            return _binary(t, a.value, b.value)
+    return _eval_stack(t)
+
+
+def _eval_stack(t) -> int:
+    # work holds (term, False) to evaluate and (compound, True) to apply
+    # to the values of its operands, which are on top of values by then
+    values: list[int] = []
+    work = [(t, False)]
+    while work:
+        t, apply = work.pop()
+        if apply:
+            if len(t.args) == 2:
+                b = values.pop()
+                values.append(_binary(t, values.pop(), b))
+            elif t.name == "-":
+                values.append(-values.pop())
+            else:  # integer(sqrt(N))
+                n = values.pop()
+                if n < 0:
                     raise MachineFault("arith_error", t)
-                q = abs(a) // abs(b)
-                return q if (a < 0) == (b < 0) else -q
-            if name == "mod":
-                if b == 0:
-                    raise MachineFault("arith_error", t)
-                return a % b
-        elif len(args) == 1:
-            if name == "-":
-                return -eval_arith(args[0])
-            if name == "integer":
+                values.append(math.isqrt(n))
+            continue
+        t = deref(t)
+        tt = type(t)
+        if tt is Int:
+            values.append(t.value)
+            continue
+        if tt is Var:
+            raise MachineFault("instantiation_error", t)
+        if tt is Struct:
+            name = t.name
+            args = t.args
+            if len(args) == 2:
+                work.append((t, True))
+                work.append((args[1], False))
+                work.append((args[0], False))
+                continue
+            if len(args) == 1 and name == "-":
+                work.append((t, True))
+                work.append((args[0], False))
+                continue
+            if len(args) == 1 and name == "integer":
                 inner = deref(args[0])
                 if type(inner) is Struct and inner.functor is _SQRT and len(inner.args) == 1:
-                    n = eval_arith(inner.args[0])
-                    if n < 0:
-                        raise MachineFault("arith_error", t)
-                    return math.isqrt(n)
-                return eval_arith(inner)
+                    work.append((t, True))
+                    work.append((inner.args[0], False))
+                else:
+                    work.append((inner, False))
+                continue
+        raise MachineFault("type_error", t)
+    return values[0]
+
+
+def _binary(t, a: int, b: int) -> int:
+    name = t.name
+    if name == "+":
+        return a + b
+    if name == "-":
+        return a - b
+    if name == "*":
+        return a * b
+    if name == "/":
+        if b == 0:
+            raise MachineFault("arith_error", t)
+        q = abs(a) // abs(b)
+        return q if (a < 0) == (b < 0) else -q
+    if name == "mod":
+        if b == 0:
+            raise MachineFault("arith_error", t)
+        return a % b
     raise MachineFault("type_error", t)
 
 
@@ -918,18 +982,25 @@ for _n in range(1, 6):
     BUILTINS[(Symbol("call"), _n)] = _bi_call
 
 
-def _cut(m, barrier, rest):
-    cps = m.cps
-    if len(cps) > barrier:
-        del cps[barrier:]
-        m.trail.boundary = cps[-1].stamp if cps else 0
+def _body_cut(m, barrier, rest):
+    if len(m.cps) > barrier:
+        m._cut(barrier)
     return True
 
 
+def _answer(m, args, rest):
+    m.goals = _REDO
+    return AnswerReady(copy_term(m.pattern))
+
+
 # records of the body cut and of a body goal that is a variable or not
-# callable; they are not in BUILTINS, so no tracer counts them as builtins
-_CUT = Pred((Symbol("!"), 0), _cut)
+# callable, and the one-goal chains below a query's goal that answer it and
+# then backtrack; no record of theirs is in BUILTINS, so no tracer counts
+# them as builtins
+_CUT = Pred((Symbol("!"), 0), _body_cut)
 _METACALL = Pred((Symbol("call"), 1), _bi_call)
+_ANSWER = (Pred((Symbol("$answer"), 0), _answer), ()), None
+_REDO = (Pred((Symbol("fail"), 0), _bi_fail), ()), None
 
 
 @builtin("between", 3)

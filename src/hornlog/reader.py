@@ -42,6 +42,10 @@ PREFIX = {
 _SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&")
 _SOLO = set("!;")
 
+# Terms nested deeper than this are refused with a ParseError, so that
+# outside input cannot exhaust the host stack the parser recurses on.
+MAX_NESTING = 400
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
@@ -166,6 +170,7 @@ class _Parser:
         self.pos = 0
         self.varmap: dict[str, Var] = {}
         self.varorder: list[str] = []
+        self.depth = 0  # calls of parse open: the nesting of the term being read
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -203,7 +208,17 @@ class _Parser:
         return tok.kind == "punct" and tok.text in ("(", "[")
 
     def parse(self, max_p: int):
+        """Read a term of priority at most max_p. Brackets, arguments and
+        prefix operands nest calls of parse, so their depth is limited."""
+        depth = self.depth
+        if depth > MAX_NESTING:
+            self.error(f"term nested deeper than {MAX_NESTING}")
+        self.depth = depth + 1
         left, left_p = self.primary(max_p)
+        # (name, left operand, priority) of the xfy operators awaiting the
+        # end of their right operand: a chain such as a,b,c is read in this
+        # loop and folded to the right, not nested
+        pending = None
         while True:
             tok = self.peek()
             if tok.kind == "punct" and tok.text == ",":
@@ -218,17 +233,32 @@ class _Parser:
             if entry is None:
                 break
             p, typ = entry
+            while pending and p > pending[-1][2]:  # ends the right operand
+                left, left_p = self._fold(pending, left)
             if p > max_p:
                 break
             lmax = p if typ == "yfx" else p - 1
             if left_p > lmax:
                 break
             self.take()
-            rmax = p if typ == "xfy" else p - 1
-            right, _ = self.parse(rmax)
+            if typ == "xfy":
+                if pending is None:
+                    pending = []
+                pending.append((name, left, p))
+                left, left_p = self.primary(p)
+                continue
+            right, _ = self.parse(p - 1)
             left = Struct(name, (left, right))
             left_p = p
+        while pending:
+            left, left_p = self._fold(pending, left)
+        self.depth = depth
         return left, left_p
+
+    @staticmethod
+    def _fold(pending: list, right):
+        name, left, p = pending.pop()
+        return Struct(name, (left, right)), p
 
     def primary(self, max_p: int):
         tok = self.take()
@@ -241,8 +271,25 @@ class _Parser:
                 t, _ = self.parse(1200)
                 self.expect_punct(")")
                 return t, 0
-            if tok.text == "[":
-                return self._list(), 0
+            if tok.text == "[":  # read here, not in a helper: one frame less per level
+                if self.peek().kind == "punct" and self.peek().text == "]":
+                    self.take()
+                    return Atom("[]"), 0
+                items = [self.parse(999)[0]]
+                tail = Atom("[]")
+                while True:
+                    tok = self.take()
+                    if tok.kind == "punct" and tok.text == ",":
+                        items.append(self.parse(999)[0])
+                        continue
+                    if tok.kind == "punct" and tok.text == "|":
+                        tail = self.parse(999)[0]
+                        self.expect_punct("]")
+                        break
+                    if tok.kind == "punct" and tok.text == "]":
+                        break
+                    self.error(f"expected ',', '|' or ']', found {tok.text!r}", tok)
+                return make_list(items, tail), 0
             self.error(f"unexpected {tok.text!r}", tok)
         if tok.kind == "atom":
             name = tok.text
@@ -264,26 +311,6 @@ class _Parser:
             # a bare operator symbol in argument position is a plain atom
             return Atom(name), 0
         self.error("unexpected end of input", tok)
-
-    def _list(self):
-        if self.peek().kind == "punct" and self.peek().text == "]":
-            self.take()
-            return Atom("[]")
-        items = [self.parse(999)[0]]
-        tail = Atom("[]")
-        while True:
-            tok = self.take()
-            if tok.kind == "punct" and tok.text == ",":
-                items.append(self.parse(999)[0])
-                continue
-            if tok.kind == "punct" and tok.text == "|":
-                tail = self.parse(999)[0]
-                self.expect_punct("]")
-                break
-            if tok.kind == "punct" and tok.text == "]":
-                break
-            self.error(f"expected ',', '|' or ']', found {tok.text!r}", tok)
-        return make_list(items, tail)
 
 
 def parse_term(text: str):

@@ -14,14 +14,7 @@ import threading
 from importlib import resources
 
 from .engines import NO, EngineRef, The
-from .machine import (
-    EXHAUSTED,
-    AnswerReady,
-    Database,
-    Machine,
-    MachineError,
-    Yielded,
-)
+from .machine import EXHAUSTED, Database, Machine, MachineError
 from .reader import parse_program, parse_term
 from .terms import Atom, Struct, Var, deref
 from .threads import Hub, ThreadRef
@@ -100,16 +93,25 @@ class Session:
         if machine.running:
             self.report_error(eid, "reentrant_get")
             return NO
-        ev = machine.resume()
+        # resume is called straight from here: a nested get adds no other
+        # host frame per level
+        ans = self._outcome(machine, machine.resume())
+        if ans is NO:
+            self.stop_id(eid)  # exhausted or failed: release promptly
+        return ans
+
+    def _outcome(self, machine: Machine, ev):
+        """What a client gets for the event machine's resume returned: The
+        value of an answer or a yield, else NO. Calls on_event first and
+        reports a fault."""
         if self.on_event is not None:
-            self.on_event(eid, ev)
-        t = type(ev)
-        if t is AnswerReady or t is Yielded:
-            return The(ev.value)
-        if t is MachineError:
-            self.report_error(eid, ev.kind, culprit=ev.culprit)
-        self.stop_id(eid)  # exhausted or failed: release promptly
-        return NO
+            self.on_event(machine.id, ev)
+        if ev is EXHAUSTED:
+            return NO
+        if type(ev) is MachineError:
+            self.report_error(machine.id, ev.kind, culprit=ev.culprit)
+            return NO
+        return The(ev.value)
 
     def stop_id(self, eid: int) -> None:
         machine = self._remove(eid, Machine)
@@ -185,16 +187,8 @@ class Session:
     def _launch(self, machine: Machine) -> ThreadRef:
         def drive():
             self._thread_of_ident[threading.get_ident()] = tref
-            while True:
-                ev = machine.resume()
-                if self.on_event is not None:
-                    self.on_event(machine.id, ev)
-                t = type(ev)
-                if t is MachineError:
-                    self.report_error(machine.id, ev.kind, culprit=ev.culprit)
-                    break
-                if ev is EXHAUSTED:
-                    break
+            while self._outcome(machine, machine.resume()) is not NO:
+                pass
             machine.kill()
 
         tref = self._add(ThreadRef(threading.Thread(target=drive, daemon=True)))

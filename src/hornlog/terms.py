@@ -22,7 +22,7 @@ def next_stamp() -> int:
 class Symbol:
     """Interned atom/functor name: same text, same object."""
 
-    __slots__ = ("text", "id")
+    __slots__ = ("text",)
     _table: dict[str, "Symbol"] = {}
 
     def __new__(cls, text: str) -> "Symbol":
@@ -33,7 +33,6 @@ class Symbol:
                 if sym is None:
                     sym = object.__new__(cls)
                     sym.text = text
-                    sym.id = len(cls._table)
                     cls._table[text] = sym
         return sym
 

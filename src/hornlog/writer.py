@@ -37,15 +37,15 @@ def _atom_token(name: str) -> str:
     return name
 
 
-def write_term(t, max_depth: int = MAX_DEPTH) -> str:
+def write_term(t) -> str:
     toks: list[str] = []
-    _emit(t, 1200, 0, max_depth, toks, operand=False)
+    _emit(t, 1200, 0, toks, operand=False)
     return _join(toks)
 
 
-def _emit(t, max_p: int, depth: int, max_depth: int, out: list[str], operand: bool):
+def _emit(t, max_p: int, depth: int, out: list[str], operand: bool):
     t = deref(t)
-    if depth > max_depth:
+    if depth > MAX_DEPTH:
         out.append("...")
         return
     tt = type(t)
@@ -67,7 +67,7 @@ def _emit(t, max_p: int, depth: int, max_depth: int, out: list[str], operand: bo
         return
     # compound
     if t.functor is DOT and len(t.args) == 2:
-        _emit_list(t, depth, max_depth, out)
+        _emit_list(t, depth, out)
         return
     name = t.name
     if len(t.args) == 2 and name in INFIX:
@@ -77,9 +77,9 @@ def _emit(t, max_p: int, depth: int, max_depth: int, out: list[str], operand: bo
         wrap = p > max_p
         if wrap:
             out.append("(")
-        _emit(t.args[0], lmax, depth + 1, max_depth, out, operand=True)
+        _emit(t.args[0], lmax, depth + 1, out, operand=True)
         out.append("," if name == "," else _atom_token(name))
-        _emit(t.args[1], rmax, depth + 1, max_depth, out, operand=True)
+        _emit(t.args[1], rmax, depth + 1, out, operand=True)
         if wrap:
             out.append(")")
         return
@@ -91,7 +91,7 @@ def _emit(t, max_p: int, depth: int, max_depth: int, out: list[str], operand: bo
             if wrap:
                 out.append("(")
             out.append(_atom_token(name))
-            _emit(t.args[0], p if typ == "fy" else p - 1, depth + 1, max_depth, out, operand=True)
+            _emit(t.args[0], p if typ == "fy" else p - 1, depth + 1, out, operand=True)
             if wrap:
                 out.append(")")
             return
@@ -100,20 +100,20 @@ def _emit(t, max_p: int, depth: int, max_depth: int, out: list[str], operand: bo
     for i, a in enumerate(t.args):
         if i:
             out.append(",")
-        _emit(a, 999, depth + 1, max_depth, out, operand=False)
+        _emit(a, 999, depth + 1, out, operand=False)
     out.append(")")
 
 
-def _emit_list(t, depth: int, max_depth: int, out: list[str]):
+def _emit_list(t, depth: int, out: list[str]):
     out.append("[")
     first = True
     d = depth
     while True:
-        if d > max_depth:
+        if d > MAX_DEPTH:
             out.append("|" if not first else "")
             out.append("...")
             break
-        _emit(t.args[0], 999, d + 1, max_depth, out, operand=False)
+        _emit(t.args[0], 999, d + 1, out, operand=False)
         first = False
         tail = deref(t.args[1])
         if type(tail) is Struct and tail.functor is DOT and len(tail.args) == 2:
@@ -124,7 +124,7 @@ def _emit_list(t, depth: int, max_depth: int, out: list[str]):
         if type(tail) is Atom and tail.name == "[]":
             break
         out.append("|")
-        _emit(tail, 999, d + 1, max_depth, out, operand=False)
+        _emit(tail, 999, d + 1, out, operand=False)
         break
     out.append("]")
 

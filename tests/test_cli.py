@@ -59,6 +59,19 @@ def test_batch_machine_error_exit_code():
     assert "unknown_predicate" in r.stderr
 
 
+def test_batch_deeply_nested_goal_is_a_parse_error():
+    r = run_cli("--goal", "X = " + "f(" * 5000 + "a" + ")" * 5000)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert [line[0] for line in r.stderr.splitlines()] == ["!"]
+
+
+def test_batch_deep_arithmetic():
+    r = run_cli("--goal", "X is " + "+".join(["1"] * 1500))
+    assert r.returncode == 0
+    assert norm(r.stdout) == "X=1500"
+
+
 def test_batch_limit_caps_stream():
     r = run_cli("--goal", "loop(0)", "--limit", "3")
     assert r.returncode == 0

@@ -281,6 +281,17 @@ def test_eval_arith_errors():
     assert e.value.kind == "type_error"
 
 
+def test_deep_arithmetic_runs_off_the_host_stack():
+    s = Session(text="sum(0,0). sum(N,E+1):-N>0,N1 is N-1,sum(N1,E).")
+    assert [v.value for v in s.answers("X", "(sum(20000,E),X is E,E =:= 20000)")] == [20000]
+    text = "+".join(["1"] * 20000)
+    assert eval_arith(parse_term(text)) == 20000
+    assert eval_arith(parse_term(f"integer(sqrt(-(-({text}))))")) == 141
+    with pytest.raises(MachineFault) as e:
+        eval_arith(parse_term(f"{text}+x*2"))
+    assert e.value.kind == "type_error" and write_term(e.value.culprit) == "x"
+
+
 def test_is_error_kills_machine(base):
     m = machine(base, "X", "X is foo+1")
     ev = m.resume()
@@ -329,17 +340,46 @@ tloop(0):-!.
 tloop(N):-t(N,X),X=f(_),N1 is N-1,tloop(N1).
 bloop(0):-!.
 bloop(N):-between(1,2,X),X>=2,N1 is N-1,bloop(N1).
+pick(Y):-member(Y,[a,b]),!.
+cloop(0):-!.
+cloop(N):-pick(Y),Y==a,N1 is N-1,cloop(N1).
 """
 
 
-@pytest.mark.parametrize("goal", ["tloop(3000)", "bloop(3000)"])
+@pytest.mark.parametrize("goal", ["tloop(3000)", "bloop(3000)", "cloop(3000)"])
 def test_last_alternative_leaves_nothing_on_the_trail(goal):
     # the last clause of t/2 and the last value of between/3 bind an older
-    # variable; the choice point is gone by then, so nothing is trailed
+    # variable; the choice point is gone by then, so nothing is trailed.
+    # member/2 binds Y under its choice point, and the cut that removes it
+    # drops the entry too
     m = machine(Session(text=TRUST), "ok", goal)
     assert type(m.resume()) is AnswerReady
     assert len(m.cps) == 0
     assert len(m.trail.entries) == 0
+
+
+def test_cut_keeps_only_the_entries_older_choice_points_undo():
+    s = Session(text="d(R):-c(X,Y),R=X-Y. c(X,Y):-member(Y,[1,2]),X=Y,!.")
+    m = machine(s, "R-Z", "(member(Z,[p,q]),d(R))")
+    assert write_term(m.resume().value) == "1-1-p"
+    # the choice point of member(Z,..) remains, so the bindings of the
+    # query's R and Z stay undoable; the cut dropped those of X and Y,
+    # which are younger than it
+    assert len(m.cps) == 1
+    assert sorted(id(v) for v in m.trail.entries) == sorted(id(v) for v in m.pattern.args)
+    assert write_term(m.resume().value) == "1-1-q"
+    assert m.resume() is EXHAUSTED
+
+
+def test_store_server_trail_stays_empty():
+    s = Session()
+    handle = write_term(s.first("D", "new_edb(D)"))
+    for k in range(3000):
+        goal = f"(edb_assertz({handle},(p({k}):-true)),edb_retract1({handle},p({k})))"
+        assert s.first("ok", goal) is not None
+    server = s.lookup(s.first("I", f"{handle}='$engine'(I)").value, Machine)
+    assert len(server.cps) == 0
+    assert len(server.trail.entries) == 0
 
 
 # -- first-argument indexing and head unification --------------------------------
@@ -501,6 +541,27 @@ def test_builtin_wins_over_program_clauses():
     s = Session(text="fail. t:-fail.")
     assert s.answers("X", "fail") == []
     assert s.answers("X", "t") == []
+
+
+def test_every_record_has_an_entry():
+    s = Session()
+    assert s.db.frozen and all(callable(p.fn) for p in s.db._preds.values())
+    for key in [(Symbol("undefined_pred"), 2), (Symbol("member"), 3)]:
+        p, args = s.db.resolve(parse_term(f"{key[0].text}({','.join('_' * key[1])})"))
+        assert p.key == key and p.key not in s.db._preds
+        with pytest.raises(MachineFault) as e:
+            p.fn(None, args, None)
+        assert e.value.kind == "unknown_predicate"
+        assert write_term(e.value.culprit) == f"{key[0].text}/{key[1]}"
+
+
+def test_answered_machine_resumes_through_its_goal_stack(base):
+    m = machine(base, "X", "member(X,[1,2])")
+    assert m.resume().value.value == 1
+    (pred, args), rest = m.goals
+    assert rest is None and pred.fn(m, args, rest) is False  # backtrack on resume
+    assert m.resume().value.value == 2
+    assert m.resume() is EXHAUSTED
 
 
 def test_metacalls_of_undefined_predicates_never_grow_the_table():

@@ -16,6 +16,7 @@ from hornlog import (
     variant,
     write_term,
 )
+from hornlog.reader import MAX_NESTING
 from hornlog.session import prelude_sources
 
 from conftest import random_term
@@ -99,6 +100,28 @@ def test_parse_error_location():
     with pytest.raises(ParseError) as e:
         parse_program("a(1).\nb(2.")
     assert e.value.line == 2
+
+
+@pytest.mark.parametrize("opening, closing", [("f(", ")"), ("(", ")"), ("[", "]")])
+def test_deep_nesting_is_a_parse_error(opening, closing):
+    ok = opening * MAX_NESTING + "a" + closing * MAX_NESTING
+    assert write_term(parse_term(ok)).startswith(opening.strip("("))
+    with pytest.raises(ParseError) as e:
+        parse_term(opening * 5000 + "a" + closing * 5000)
+    assert e.value.line == 1 and "nested" in e.value.message
+    with pytest.raises(ParseError):
+        parse_program("p(" + opening * 5000 + "a" + closing * 5000 + ").")
+
+
+def test_long_conjunction_reads_without_nesting():
+    body = ",".join(f"g{i}" for i in range(5000))
+    (cl,) = parse_program(f"p:-{body}.")
+    t, n = cl.body, 0
+    while type(t) is Struct and t.name == ",":
+        assert deref(t.args[0]).name == f"g{n}"
+        t, n = deref(t.args[1]), n + 1
+    assert t.name == "g4999" and n == 4999
+    assert write_term(parse_term("(a,b),c:-d,(e,f)")) == "(a,b),c:-d,e,f"
 
 
 def test_directive_rejected():
