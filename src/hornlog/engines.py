@@ -87,10 +87,14 @@ def _bi_new_engine(m, args, rest):
     return unify(args[2], ref.term, m.trail)
 
 
+_THE = Symbol("the")
+_ATOM_NO = Atom("no")
+
+
 @builtin("get", 2)
 def _bi_get(m, args, rest):
     ans = m.session.get_by_id(handle_id(args[0], EngineRef))
-    t = Atom("no") if ans is NO else Struct("the", (ans.value,))
+    t = _ATOM_NO if ans is NO else Struct(_THE, (ans.value,))
     return unify(args[1], t, m.trail)
 
 

@@ -36,6 +36,7 @@ server loops memory-flat.
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 
 from .terms import (
@@ -663,6 +664,8 @@ class BetweenCP:
 # ---------------------------------------------------------------------------
 # the machine
 
+_mailbox_lock = threading.Lock()
+
 
 class Machine:
     """One suspendable resolution engine over a shared database.
@@ -692,11 +695,15 @@ class Machine:
         self.db = db
         self.trail = Trail()
         self.trail.boundary = 0  # no choice points yet: trail nothing
-        vmap: dict = {}
-        self.pattern = copy_term(pattern, vmap)
-        self.goals = (db.resolve(copy_term(g, vmap)), _ANSWER)
+        if goal is pattern:  # new_engine(G,G,E), as if/3 and catch/3 boot
+            self.pattern = g = copy_term(g)
+        else:
+            vmap: dict = {}
+            self.pattern = copy_term(pattern, vmap)
+            g = copy_term(g, vmap)
+        self.goals = (db.resolve(g), _ANSWER)
         self.cps: list = []
-        self.mailbox: deque = deque()
+        self.mailbox: deque | None = None  # made by the first deposit
         self.dead = False
         self.running = False
         self.id = 0
@@ -720,7 +727,14 @@ class Machine:
         """Queue a copy of t for from_engine. Reports failure on a dead machine."""
         if self.dead:
             return False
-        self.mailbox.append(copy_term(t))
+        item = copy_term(t)
+        mailbox = self.mailbox
+        if mailbox is None:
+            with _mailbox_lock:  # two threads may deposit first at once
+                mailbox = self.mailbox
+                if mailbox is None:
+                    mailbox = self.mailbox = deque()
+        mailbox.append(item)
         return True
 
     def kill(self):
@@ -729,7 +743,7 @@ class Machine:
         self.goals = None
         self.cps.clear()
         self.trail.entries.clear()
-        self.mailbox.clear()
+        self.mailbox = None
 
     # -- resolution ----------------------------------------------------------
 

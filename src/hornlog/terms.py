@@ -1,8 +1,9 @@
 """Logical terms: interned symbols, variables, destructive unification, copying.
 
 Terms belong to one engine at a time; they cross engine boundaries only as
-copies. Destructive variable binding plus an undo trail is the single
-mutable mechanism in the term layer.
+copies, which share a source's variable-free subterms. Destructive variable
+binding plus an undo trail is the single mutable mechanism in the term
+layer: a Struct never changes once made.
 """
 
 from __future__ import annotations
@@ -201,10 +202,12 @@ def unify(a, b, trail: Trail) -> bool:
 
 
 def copy_term(t, vmap: dict | None = None):
-    """Fresh copy of t with unbound variables consistently renamed.
+    """Copy of t with unbound variables consistently renamed, holding no Var of t.
 
     Bound variables are dereferenced and replaced by copies of their values;
-    sharing of variables within t is preserved. Assumes an acyclic term.
+    sharing of variables within t is preserved. A compound with no variable
+    anywhere below it, bound or not, is returned as it is: a Struct never
+    changes, so sharing it is as good as a copy. Assumes an acyclic term.
     """
     if vmap is None:
         vmap = {}
@@ -217,31 +220,55 @@ def copy_term(t, vmap: dict | None = None):
         return c
     if tt is not Struct:
         return t
-    # explicit stack: runtime lists can be deeper than the host recursion limit
-    results = []
-    work = [(t, True)]
-    while work:
-        node, expand = work.pop()
-        if not expand:
-            n = len(node.args)
-            args = tuple(results[-n:])
-            del results[-n:]
-            results.append(Struct(node.functor, args))
-            continue
-        node = deref(node)
-        tn = type(node)
-        if tn is Var:
-            c = vmap.get(node)
-            if c is None:
-                c = vmap[node] = Var()
-            results.append(c)
-        elif tn is Struct:
-            work.append((node, False))
-            for a in reversed(node.args):
-                work.append((a, True))
+    # explicit stack, one frame per open compound: runtime lists can be
+    # deeper than the host recursion limit
+    new = object.__new__
+    stack = []
+    node = t
+    args = t.args
+    n = len(args)
+    i = 0
+    out = []
+    changed = False  # whether out differs from args
+    while True:
+        while i < n:
+            a = args[i]
+            i += 1
+            ta = type(a)
+            if ta is Var:
+                changed = True
+                a = deref(a)
+                ta = type(a)
+                if ta is Var:
+                    c = vmap.get(a)
+                    if c is None:
+                        c = vmap[a] = Var()
+                    out.append(c)
+                    continue
+            if ta is Struct:
+                stack.append((node, i, out, changed))
+                node = a
+                args = a.args
+                n = len(args)
+                i = 0
+                out = []
+                changed = False
+                continue
+            out.append(a)
+        if changed:
+            result = new(Struct)
+            result.functor = node.functor
+            result.args = tuple(out)
         else:
-            results.append(node)
-    return results[0]
+            result = node
+        if not stack:
+            return result
+        node, i, out, changed = stack.pop()
+        args = node.args
+        n = len(args)
+        out.append(result)
+        if result is not args[i - 1]:
+            changed = True
 
 
 def term_equal(a, b) -> bool:

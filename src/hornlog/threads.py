@@ -1,7 +1,8 @@
 """Native threads and the producer/consumer hub.
 
-A hub is the only data path between threads: every term is deep-copied at
-put time, collected by at most one consumer, FIFO per producer. A consumer
+A hub is the only data path between threads: every term is copied at put
+time, sharing only its variable-free subterms, which never change;
+it is collected by at most one consumer, FIFO per producer. A consumer
 that waits longer than the hub's timeout signals failure; timeout 0 means
 wait indefinitely. Handing an engine to run_bg transfers ownership: the
 handle stops resolving for the caller, so no client operation can reach an

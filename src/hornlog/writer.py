@@ -3,12 +3,14 @@
 Operators print infix/prefix per the fixed table, lists in bracket notation,
 unbound variables as _G<serial>. Nesting beyond the depth limit is elided
 with `...` so cyclic terms (possible without an occurs check) still print.
+A list's elements nest but its spine does not, so a list prints in full at
+any length; a spine that cycles back on itself ends in `|...`.
 """
 
 from __future__ import annotations
 
 from .reader import INFIX, PREFIX
-from .terms import Atom, Int, Struct, Var, deref, DOT
+from .terms import DOT, NIL, Atom, Int, Struct, Var, deref
 
 MAX_DEPTH = 64
 
@@ -105,28 +107,29 @@ def _emit(t, max_p: int, depth: int, out: list[str], operand: bool):
 
 
 def _emit_list(t, depth: int, out: list[str]):
+    # the spine is written in a loop at any length; only the elements nest.
+    # Struct arguments never change, so a spine can only cycle through a
+    # bound variable: a repeated one ends the list as |...
     out.append("[")
-    first = True
-    d = depth
+    seen: set[Var] = set()
     while True:
-        if d > MAX_DEPTH:
-            out.append("|" if not first else "")
-            out.append("...")
-            break
-        _emit(t.args[0], 999, d + 1, out, operand=False)
-        first = False
-        tail = deref(t.args[1])
+        _emit(t.args[0], 999, depth + 1, out, operand=False)
+        tail = t.args[1]
+        while type(tail) is Var and tail.ref is not None:
+            if tail in seen:
+                out.append("|...]")
+                return
+            seen.add(tail)
+            tail = tail.ref
         if type(tail) is Struct and tail.functor is DOT and len(tail.args) == 2:
             out.append(",")
             t = tail
-            d += 1
-            continue
-        if type(tail) is Atom and tail.name == "[]":
-            break
-        out.append("|")
-        _emit(tail, 999, d + 1, out, operand=False)
-        break
-    out.append("]")
+        else:
+            if tail is not NIL:
+                out.append("|")
+                _emit(tail, 999, depth + 1, out, operand=False)
+            out.append("]")
+            return
 
 
 def _join(tokens: list[str]) -> str:

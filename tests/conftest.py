@@ -47,3 +47,18 @@ def random_term(rng: random.Random, depth: int = 3, vars_pool=None):
     name = rng.choice(["f", "g", "point", "pair"])
     n = rng.randint(1, 3)
     return Struct(name, tuple(random_term(rng, depth - 1, vars_pool) for _ in range(n)))
+
+
+def vars_below(t) -> set[int]:
+    """ids of every Var reachable from t, bound or not, binding chains included."""
+    seen: set[int] = set()
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if type(x) is Var:
+            seen.add(id(x))
+            if x.ref is not None:
+                stack.append(x.ref)
+        elif type(x) is Struct:
+            stack.extend(x.args)
+    return seen

@@ -72,6 +72,12 @@ def test_batch_deep_arithmetic():
     assert norm(r.stdout) == "X=1500"
 
 
+def test_batch_long_answer_prints_in_full():
+    r = run_cli("--goal", "findall(X,between(1,100,X),L)")
+    assert r.returncode == 0
+    assert norm(r.stdout).endswith(",L=[" + ",".join(map(str, range(1, 101))) + "]")
+
+
 def test_batch_limit_caps_stream():
     r = run_cli("--goal", "loop(0)", "--limit", "3")
     assert r.returncode == 0

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
 import random
+import threading
 
-from hornlog import NO, Session, The, parse_term, write_term
+from hornlog import NO, Machine, Session, The, Trail, parse_term, unify, variant, write_term
 
 from conftest import answers_str
 
@@ -163,3 +164,58 @@ def test_reentrant_get_reports_and_answers_no():
     ans = e1.get()
     assert type(ans) is The and write_term(ans.value) == "the(no)"
     assert any("reentrant" in ln for ln in lines)
+
+
+def test_binding_an_answer_leaves_the_next_answer_unaffected(base):
+    # both answers mention the engine's one Z; an answer that shared it
+    # with the engine would pass the binding on to the second answer
+    e = base.new_engine("X-Z", "member(X,[g(Z),h(Z)])")
+    first = e.get().value
+    assert unify(first, parse_term("g(1)-1"), Trail())
+    assert write_term(first) == "g(1)-1"
+    second = e.get().value
+    assert variant(second, parse_term("h(A)-A"))
+
+
+def test_concurrent_first_deposits_all_arrive_in_order():
+    # the mailbox is made by the first deposit, which both threads race to
+    n = 1000
+    s = Session(text="drain:-from_engine(X),return(X),drain.")
+    e = s.new_engine("X", "drain")
+    assert s.lookup(e.id, Machine).mailbox is None
+    start = threading.Barrier(2)
+
+    def send(tag):
+        start.wait()
+        for i in range(n):
+            assert e.to_engine(parse_term(f"m({tag},{i})"))
+
+    threads = [threading.Thread(target=send, args=(tag,)) for tag in "ab"]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    got = {"a": [], "b": []}
+    for _ in range(2 * n):
+        tag, i = e.get().value.args
+        got[tag.name].append(i.value)
+    assert got == {"a": list(range(n)), "b": list(range(n))}
+    e.stop()
+
+
+def test_from_engine_without_any_deposit_faults():
+    lines = []
+    s = Session(on_error=lines.append)
+    e = s.new_engine("X", "from_engine(X)")
+    m = s.lookup(e.id, Machine)
+    assert e.get() is NO
+    assert m.mailbox is None and m.dead
+    assert len(lines) == 1 and "mailbox_empty" in lines[0]
+
+
+def test_kill_drops_the_mailbox(base):
+    e = base.new_engine("X", "from_engine(X)")
+    m = base.lookup(e.id, Machine)
+    assert e.to_engine(parse_term("a")) and m.mailbox is not None
+    e.stop()
+    assert m.mailbox is None and not e.to_engine(parse_term("b"))

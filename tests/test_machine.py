@@ -502,6 +502,50 @@ def test_one_lookup_per_predicate_call_and_one_call_per_builtin():
         mach.BUILTINS.update(saved)
 
 
+def test_every_boundary_copy_goes_through_the_traced_copy_term_names():
+    # the benchmark's tracer counts copies by wrapping copy_term where
+    # terms, machine and threads bind it; a copy made any other way would
+    # escape it and change these counts
+    from hornlog import machine as mach, terms, threads
+
+    owners = (terms, mach, threads)
+    saved = [m.copy_term for m in owners]
+    calls = []
+
+    def counted(t, vmap=None):
+        calls.append(t)
+        return saved[0](t, vmap)
+
+    def copies(fn):
+        calls.clear()
+        fn()
+        return len(calls)
+
+    try:
+        for m in owners:
+            m.copy_term = counted
+        s = Session(text="two:-return(a),return(b).")
+        g = parse_term("true")
+        assert copies(lambda: Machine(s, s.db, g, g)) == 1  # new_engine(G,G,E)
+        assert copies(lambda: Machine(s, s.db, Var(), g)) == 2
+        # the query: boot 2, answer 1; if/3 adds its boot and its answer
+        assert copies(lambda: s.first("X", "X=1")) == 3
+        assert copies(lambda: s.first("X", "if(X=1,true,true)")) == 5
+        e = s.new_engine("X", "member(X,[1,2,3])")
+        assert [copies(e.get) for _ in range(4)] == [1, 1, 1, 0]
+        e = s.new_engine("X", "two")
+        assert [copies(e.get) for _ in range(4)] == [1, 1, 1, 0]  # two yields, the answer
+        e = s.new_engine("X", "from_engine(X)")
+        assert copies(lambda: e.to_engine(parse_term("f(Y)"))) == 1
+        hub = s.hub(0)
+        assert copies(lambda: hub.put(parse_term("f(Y)"))) == 1
+        # the query's boot and answer, and the put
+        assert copies(lambda: s.first("X", "(hub_ms(0,H),put(H,f(X)),collect(H,X))")) == 4
+    finally:
+        for m, fn in zip(owners, saved):
+            m.copy_term = fn
+
+
 def _errors(text):
     lines = []
     return Session(text=text, on_error=lines.append), lines

@@ -213,3 +213,39 @@ def test_write_operator_atom_as_operand_is_parenthesized():
     t = Struct("-", (Atom("-"), Int(1)))
     s = write_term(t)
     assert variant(parse_term(s), t), s
+
+
+def test_long_answer_list_prints_in_full_and_reparses(base):
+    lst = base.first("L", "findall(X,between(1,100,X),L)")
+    s = write_term(lst)
+    assert s == "[" + ",".join(map(str, range(1, 101))) + "]"
+    assert variant(parse_term(s), lst)
+
+
+def test_very_long_list_writes_without_recursion():
+    from hornlog import make_list
+
+    n = 100_000
+    s = write_term(make_list([Int(i) for i in range(n)], Var()))
+    assert s.startswith("[0,1,2,") and f",{n - 1}|_G" in s
+
+
+def test_cyclic_list_spine_prints_text_that_parses():
+    from hornlog import Trail, make_list, unify
+
+    x = Var()
+    assert unify(x, make_list([Atom("a"), Atom("b")], x), Trail())
+    s = write_term(x)
+    assert s.endswith("|...]") and len(s) < 100
+    back = parse_term(s)
+    assert deref(back.args[0]) is Atom("a")
+
+
+def test_element_nesting_is_still_depth_limited_inside_a_list():
+    from hornlog import Trail, unify
+
+    x = Var()
+    assert unify(x, Struct(".", (x, Atom("[]"))), Trail())  # X = [X]
+    s = write_term(x)
+    assert "..." in s and len(s) < 1000
+    parse_term(s)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from hornlog import (
     Atom,
     Int,
@@ -15,9 +17,9 @@ from hornlog import (
     unify,
     variant,
 )
-from hornlog.terms import term_vars
+from hornlog.terms import list_parts, term_vars
 
-from conftest import random_term
+from conftest import random_term, vars_below
 
 
 def test_symbol_interning_is_injective():
@@ -140,3 +142,68 @@ def test_term_vars_order():
     x, y = Var(), Var()
     t = Struct("f", (x, Struct("g", (y, x))))
     assert term_vars(t) == [x, y]
+
+
+def test_copy_term_shares_a_variable_free_compound():
+    t = Struct("f", (Int(1), make_list([Atom("a"), Struct("g", (Int(2),))])))
+    assert copy_term(t) is t
+    x = Var()
+    c = copy_term(Struct("h", (x, t)))
+    assert c.args[1] is t
+
+
+def _bound(value):
+    v = Var()
+    assert unify(v, value, Trail())
+    return v
+
+
+@pytest.mark.parametrize(
+    "make_leaf",
+    [lambda: Var(), lambda: _bound(Atom("a")), lambda: _bound(Struct("k", (Var(),))), lambda: _bound(_bound(Int(3)))],
+    ids=["unbound", "bound_to_atom", "bound_to_compound", "bound_chain"],
+)
+def test_copy_term_rebuilds_every_compound_above_a_var(make_leaf):
+    leaf = make_leaf()
+    inner = Struct("g", (Atom("b"), leaf))
+    t = Struct("f", (Int(1), make_list([Atom("a"), inner]), Atom("c")))
+    c = copy_term(t)
+    assert variant(c, t)
+    assert c is not t
+    assert c.args[1] is not t.args[1] and deref(c.args[1].args[1]).args[0] is not inner
+    assert not (vars_below(c) & vars_below(t))
+
+
+def test_copy_term_keeps_shared_ground_siblings_of_a_var():
+    ground = make_list([Int(i) for i in range(5)])
+    t = Struct("f", (ground, Var(), ground))
+    c = copy_term(t)
+    assert c is not t
+    assert c.args[0] is ground and c.args[2] is ground
+
+
+def test_copy_of_a_long_open_list_has_no_recursion():
+    n = 200_000
+    tail = Var()
+    t = make_list([Int(i) for i in range(n)], tail)
+    c = copy_term(t)
+    items, ctail = list_parts(c)
+    assert len(items) == n and items[-1].value == n - 1
+    assert type(ctail) is Var and ctail is not tail
+
+
+@pytest.mark.parametrize("bottom", [Atom("z"), None], ids=["ground", "var"])
+def test_copy_of_a_deep_compound_has_no_recursion(bottom):
+    n = 200_000
+    leaf = Var() if bottom is None else bottom
+    t = leaf
+    for _ in range(n):
+        t = Struct("f", (t,))
+    c = copy_term(t)
+    assert (c is t) == (bottom is not None)
+    depth = 0
+    while type(c) is Struct:
+        c = c.args[0]
+        depth += 1
+    assert depth == n
+    assert (c is leaf) == (bottom is not None)

@@ -9,7 +9,7 @@ import pytest
 
 from hornlog import NO, MachineFault, Session, parse_term, write_term
 
-from conftest import answers_str
+from conftest import answers_str, vars_below
 
 
 def test_hub_put_then_collect(base):
@@ -294,3 +294,21 @@ def test_run_bg_join_then_all_work_done(base):
         " join_thread(T), collect(H,A), collect(H,B))",
     )
     assert got == ["a-b"]
+
+
+def test_hub_term_collected_on_another_thread_shares_no_var(base):
+    from hornlog import Struct, Trail, Var, unify, variant
+
+    h = base.hub(0)
+    x, y = Var(), Var()
+    assert unify(y, parse_term("g(Z,[1,2])"), Trail())
+    sent = Struct("m", (x, y, parse_term("k([a,b],c)"), x))
+    got = []
+    reader = threading.Thread(target=lambda: got.append(h.collect()))
+    reader.start()
+    h.put(sent)
+    reader.join()
+
+    assert variant(got[0], sent)
+    assert not (vars_below(got[0]) & vars_below(sent))
+    assert got[0].args[2] is sent.args[2]  # variable-free: shared, not copied
