@@ -32,7 +32,6 @@ from .terms import (
     Atom,
     Int,
     Struct,
-    Symbol,
     Trail,
     Var,
     copy_term,
@@ -56,7 +55,6 @@ __all__ = [
     "Int",
     "Struct",
     "Var",
-    "Symbol",
     "Trail",
     "unify",
     "copy_term",

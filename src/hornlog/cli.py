@@ -46,15 +46,6 @@ def _format_answer(value) -> str:
     return write_term(value)
 
 
-class _ErrorFlag:
-    def __init__(self):
-        self.fired = False
-
-    def __call__(self, line: str):
-        self.fired = True
-        print(f"! {line}", file=sys.stderr)
-
-
 def _parse_query(text: str):
     term, names = parse_term_with_names(text)
     if type(term) not in (Atom, Struct):
@@ -62,7 +53,7 @@ def _parse_query(text: str):
     return term, names
 
 
-def run_batch(session: Session, errors: _ErrorFlag, goal_text: str, limit) -> int:
+def run_batch(session: Session, goal_text: str, limit) -> int:
     try:
         goal, names = _parse_query(goal_text)
     except ParseError as e:
@@ -77,12 +68,12 @@ def run_batch(session: Session, errors: _ErrorFlag, goal_text: str, limit) -> in
         print(_format_answer(ans.value))
         count += 1
     engine.stop()
-    if errors.fired:
+    if session.error_count:
         return 2
     return 0 if count else 1
 
 
-def repl(session: Session, errors: _ErrorFlag, limit) -> int:
+def repl(session: Session, limit) -> int:
     print("hornlog: type a query ending with '.'  (';' for more answers)")
     while True:
         try:
@@ -107,13 +98,13 @@ def repl(session: Session, errors: _ErrorFlag, limit) -> int:
         except ParseError as e:
             print(f"! {e}", file=sys.stderr)
             continue
-        errors.fired = False
+        errors_before = session.error_count
         engine = session.spawn(_query_pattern(names), goal)
         shown = 0
         while True:
             ans = engine.get()
             if ans is NO:
-                if not errors.fired:
+                if session.error_count == errors_before:  # a fault printed its own line
                     print("no")
                 break
             shown += 1
@@ -166,7 +157,6 @@ def main(argv=None) -> int:
     if args.extract_prelude:
         return extract_prelude(args.extract_prelude)
 
-    errors = _ErrorFlag()
     on_event = None
     if args.trace:
 
@@ -174,14 +164,14 @@ def main(argv=None) -> int:
             print(f"% engine {eid}: {ev!r}", file=sys.stderr)
 
     try:
-        session = Session(files=args.consult, on_error=errors, on_event=on_event)
+        session = Session(files=args.consult, on_event=on_event)
     except (OSError, ParseError) as e:
         print(f"! {e}", file=sys.stderr)
         return 2
 
     if args.goal is not None:
-        return run_batch(session, errors, args.goal, args.limit)
-    return repl(session, errors, args.limit)
+        return run_batch(session, args.goal, args.limit)
+    return repl(session, args.limit)
 
 
 if __name__ == "__main__":

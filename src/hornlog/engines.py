@@ -9,7 +9,7 @@ and machine faults are reported on the session's diagnostic channel.
 from __future__ import annotations
 
 from .machine import MachineFault, builtin
-from .terms import Atom, Int, Struct, Symbol, deref, unify
+from .terms import Atom, Int, Struct, deref, unify
 
 
 class The:
@@ -40,7 +40,7 @@ class Handle:
     hubs and threads share, and the object-language term FUNCTOR(Id)."""
 
     __slots__ = ("id",)
-    FUNCTOR: Symbol
+    FUNCTOR: Atom
 
     @property
     def term(self) -> Struct:
@@ -64,7 +64,7 @@ class EngineRef(Handle):
     """Per-boot handle for one engine; the table holds its Machine."""
 
     __slots__ = ("session",)
-    FUNCTOR = Symbol("$engine")
+    FUNCTOR = Atom("$engine")
 
     def __init__(self, eid: int, session):
         self.id = eid
@@ -87,7 +87,7 @@ def _bi_new_engine(m, args, rest):
     return unify(args[2], ref.term, m.trail)
 
 
-_THE = Symbol("the")
+_THE = Atom("the")
 _ATOM_NO = Atom("no")
 
 

@@ -40,10 +40,10 @@ import threading
 from collections import deque
 
 from .terms import (
+    TRUE,
     Atom,
     Int,
     Struct,
-    Symbol,
     Trail,
     Var,
     bind,
@@ -162,7 +162,7 @@ class Clause:
         text, values = self.source()
         name, arity = self.key
         where = "" if self.origin is None else " at {}:{}".format(*self.origin)
-        code = compile(text, f"<{name.text}/{arity}{where}>", "exec", dont_inherit=True)
+        code = compile(text, f"<{name.name}/{arity}{where}>", "exec", dont_inherit=True)
         ns: dict = {}
         exec(code, globals(), ns)  # unify and the rest are read from this module
         self.run = run = ns["make"](*values)
@@ -370,7 +370,6 @@ def _first_occurrences(tpls) -> dict:
     return first
 
 
-ATOM_TRUE = Atom("true")
 ATOM_CUT = Atom("!")
 
 
@@ -422,7 +421,7 @@ def compile_clause(head, body, db: "Database", origin=None) -> Clause:
         key = (head.functor, len(head.args))
         cargs = tuple(tpl(a) for a in head.args)
     else:
-        key = (head.sym, 0)
+        key = (head, 0)
         cargs = ()
     goals: list = []
     work = [body]
@@ -432,7 +431,7 @@ def compile_clause(head, body, db: "Database", origin=None) -> Clause:
         if tb is Struct and b.name == "," and len(b.args) == 2:
             work.append(b.args[1])
             work.append(b.args[0])
-        elif b is ATOM_TRUE:
+        elif b is TRUE:
             pass
         elif b is ATOM_CUT:
             goals.append((_CUT, None))
@@ -440,7 +439,7 @@ def compile_clause(head, body, db: "Database", origin=None) -> Clause:
             t = tpl(b)
             goals.append((db.pred((b.functor, len(b.args))), t[1] if type(t) is tuple else b.args))
         elif tb is Atom:
-            goals.append((db.pred((b.sym, 0)), ()))
+            goals.append((db.pred((b, 0)), ()))
         else:  # a variable, or a term that faults only when it is reached
             goals.append((_METACALL, (tpl(b),)))
     return Clause(key, cargs, tuple(goals), origin)
@@ -514,7 +513,7 @@ class UnknownPred(Pred):
 
     def fn(self, m, args, rest):
         name, arity = self.key
-        raise MachineFault("unknown_predicate", Struct("/", (Atom(name.text), Int(arity))))
+        raise MachineFault("unknown_predicate", Struct("/", (name, Int(arity))))
 
 
 class Database:
@@ -522,7 +521,7 @@ class Database:
     indexed on its first argument once frozen; immutable once frozen."""
 
     def __init__(self):
-        self._preds: dict[tuple[Symbol, int], Pred] = {}
+        self._preds: dict[tuple[Atom, int], Pred] = {}
         self.frozen = False
 
     def pred(self, key) -> Pred:
@@ -577,7 +576,7 @@ class Database:
             key = (t.functor, len(args))
         elif tt is Atom:
             args = extra
-            key = (t.sym, len(args))
+            key = (t, len(args))
         elif tt is Var:
             raise MachineFault("instantiation_error", t)
         else:
@@ -803,7 +802,7 @@ class Machine:
 # ---------------------------------------------------------------------------
 # arithmetic
 
-_SQRT = Symbol("sqrt")
+_SQRT = Atom("sqrt")
 
 
 def eval_arith(t) -> int:
@@ -912,7 +911,7 @@ BUILTINS: dict = {}
 
 def builtin(name: str, arity: int):
     def register(fn):
-        BUILTINS[(Symbol(name), arity)] = fn
+        BUILTINS[(Atom(name), arity)] = fn
         return fn
 
     return register
@@ -968,7 +967,7 @@ def _arith_cmp(name, op):
     def fn(m, args, rest):
         return op(eval_arith(args[0]), eval_arith(args[1]))
 
-    BUILTINS[(Symbol(name), 2)] = fn
+    BUILTINS[(Atom(name), 2)] = fn
 
 
 _arith_cmp("=:=", lambda a, b: a == b)
@@ -993,7 +992,7 @@ def _bi_call(m, args, rest):
 
 
 for _n in range(1, 6):
-    BUILTINS[(Symbol("call"), _n)] = _bi_call
+    BUILTINS[(Atom("call"), _n)] = _bi_call
 
 
 def _body_cut(m, barrier, rest):
@@ -1011,10 +1010,10 @@ def _answer(m, args, rest):
 # callable, and the one-goal chains below a query's goal that answer it and
 # then backtrack; no record of theirs is in BUILTINS, so no tracer counts
 # them as builtins
-_CUT = Pred((Symbol("!"), 0), _body_cut)
-_METACALL = Pred((Symbol("call"), 1), _bi_call)
-_ANSWER = (Pred((Symbol("$answer"), 0), _answer), ()), None
-_REDO = (Pred((Symbol("fail"), 0), _bi_fail), ()), None
+_CUT = Pred((ATOM_CUT, 0), _body_cut)
+_METACALL = Pred((Atom("call"), 1), _bi_call)
+_ANSWER = (Pred((Atom("$answer"), 0), _answer), ()), None
+_REDO = (Pred((Atom("fail"), 0), _bi_fail), ()), None
 
 
 @builtin("between", 3)

@@ -44,12 +44,12 @@ class Session:
         self.error_count = 0
         self._lock = threading.Lock()
         # one id sequence and one table for engines (as their Machine),
-        # hubs and threads; _live counts the entries of each kind. Only the
-        # thread whose ident is a key of _thread_of_ident writes that key.
+        # hubs and threads; _live counts the entries of each kind. _thread
+        # holds each thread's own ThreadRef and dies with its thread.
         self._ids = itertools.count(1)
         self._handles: dict[int, Machine | Hub | ThreadRef] = {}
         self._live = dict.fromkeys((Machine, Hub, ThreadRef), 0)
-        self._thread_of_ident: dict[int, ThreadRef] = {}
+        self._thread = threading.local()
         if prelude:
             for name, src in prelude_sources():
                 self._load(src, name)
@@ -186,7 +186,7 @@ class Session:
 
     def _launch(self, machine: Machine) -> ThreadRef:
         def drive():
-            self._thread_of_ident[threading.get_ident()] = tref
+            self._thread.ref = tref
             while self._outcome(machine, machine.resume()) is not NO:
                 pass
             machine.kill()
@@ -196,13 +196,10 @@ class Session:
         return tref
 
     def current_thread(self) -> ThreadRef:
-        """The calling thread's record, made on first use. The OS reuses the
-        idents of ended threads, so a record counts only if it holds this
-        very thread."""
-        cur = threading.current_thread()
-        tref = self._thread_of_ident.get(cur.ident)
-        if tref is None or tref.thread is not cur:
-            tref = self._thread_of_ident[cur.ident] = self._add(ThreadRef(cur))
+        """The calling thread's record, made on first use."""
+        tref = getattr(self._thread, "ref", None)
+        if tref is None:
+            tref = self._thread.ref = self._add(ThreadRef(threading.current_thread()))
         return tref
 
     # -- conveniences ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Logical terms: interned symbols, variables, destructive unification, copying.
+"""Logical terms: interned atoms, variables, destructive unification, copying.
 
 Terms belong to one engine at a time; they cross engine boundaries only as
 copies, which share a source's variable-free subterms. Destructive variable
@@ -20,27 +20,6 @@ def next_stamp() -> int:
     return next(_serial)
 
 
-class Symbol:
-    """Interned atom/functor name: same text, same object."""
-
-    __slots__ = ("text",)
-    _table: dict[str, "Symbol"] = {}
-
-    def __new__(cls, text: str) -> "Symbol":
-        sym = cls._table.get(text)
-        if sym is None:
-            with _intern_lock:  # threads may intern concurrently
-                sym = cls._table.get(text)
-                if sym is None:
-                    sym = object.__new__(cls)
-                    sym.text = text
-                    cls._table[text] = sym
-        return sym
-
-    def __repr__(self) -> str:
-        return f"Symbol({self.text!r})"
-
-
 class Var:
     """A logic variable: a mutable binding slot with a creation stamp."""
 
@@ -55,29 +34,25 @@ class Var:
 
 
 class Atom:
-    """An atomic constant. Interned: equal name implies identical object."""
+    """An interned name: equal name implies identical object. A term when
+    it stands alone, and the functor of every Struct."""
 
-    __slots__ = ("sym",)
+    __slots__ = ("name",)
     _table: dict[str, "Atom"] = {}
 
     def __new__(cls, name: str) -> "Atom":
         a = cls._table.get(name)
         if a is None:
-            sym = Symbol(name)  # interned before taking the lock again
-            with _intern_lock:
+            with _intern_lock:  # threads may intern concurrently
                 a = cls._table.get(name)
                 if a is None:
                     a = object.__new__(cls)
-                    a.sym = sym
+                    a.name = name
                     cls._table[name] = a
         return a
 
-    @property
-    def name(self) -> str:
-        return self.sym.text
-
     def __repr__(self) -> str:
-        return self.sym.text
+        return self.name
 
 
 class Int:
@@ -93,25 +68,26 @@ class Int:
 
 
 class Struct:
-    """A compound term: interned functor plus at least one argument."""
+    """A compound term: an atom as its functor plus at least one argument.
+    A functor given as a string is interned as an Atom."""
 
     __slots__ = ("functor", "args")
 
     def __init__(self, functor, args):
-        self.functor = functor if isinstance(functor, Symbol) else Symbol(functor)
+        self.functor = functor if type(functor) is Atom else Atom(functor)
         self.args = tuple(args)
 
     @property
     def name(self) -> str:
-        return self.functor.text
+        return self.functor.name
 
     def __repr__(self) -> str:
-        return f"{self.functor.text}({', '.join(map(repr, self.args))})"
+        return f"{self.functor.name}({', '.join(map(repr, self.args))})"
 
 
 NIL = Atom("[]")
 TRUE = Atom("true")
-DOT = Symbol(".")
+DOT = Atom(".")
 
 
 def deref(t):

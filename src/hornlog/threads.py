@@ -17,14 +17,14 @@ from collections import deque
 
 from .engines import EngineRef, Handle, handle_id
 from .machine import MachineFault, builtin, _int_arg
-from .terms import Symbol, copy_term, deref, unify
+from .terms import Atom, copy_term, deref, unify
 
 
 class Hub(Handle):
     """M-producer/N-consumer term exchanger with consumer timeout."""
 
     __slots__ = ("timeout_ms", "_queue", "_cond")
-    FUNCTOR = Symbol("$hub")
+    FUNCTOR = Atom("$hub")
 
     def __init__(self, timeout_ms: int):
         self.id = 0
@@ -62,7 +62,7 @@ class ThreadRef(Handle):
     """Handle for a launched or adopted thread; join is idempotent."""
 
     __slots__ = ("thread",)
-    FUNCTOR = Symbol("$thread")
+    FUNCTOR = Atom("$thread")
 
     def __init__(self, thread: threading.Thread):
         self.id = 0

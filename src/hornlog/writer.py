@@ -28,7 +28,7 @@ def _atom_needs_quote(name: str) -> bool:
         return True
     if name[0].isalpha() and name[0].islower() and all(_is_ident_char(c) for c in name):
         return False
-    if all(c in _SYMBOL_CHARS for c in name):
+    if name != "." and all(c in _SYMBOL_CHARS for c in name):  # a lone . ends a clause
         return False
     return True
 

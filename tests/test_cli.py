@@ -90,6 +90,12 @@ def test_batch_ground_query_prints_yes():
     assert r.stdout.strip() == "yes"
 
 
+def test_batch_prints_the_dot_atom_quoted():
+    r = run_cli("--goal", "X = '.'")
+    assert r.returncode == 0
+    assert r.stdout.strip() == "X='.'"
+
+
 def test_consulted_file(tmp_path):
     f = tmp_path / "fam.pl"
     f.write_text("parent(tom,bob). parent(bob,ann).\ngrand(X,Z):-parent(X,Y),parent(Y,Z).\n")
@@ -109,6 +115,14 @@ def test_repl_parse_error_keeps_session():
     r = run_cli(stdin="member(X,[1).\nmember(X,[7]).\n\n")
     assert "X=7" in r.stdout
     assert "expected" in r.stderr
+
+
+def test_repl_fault_prints_its_diagnostic_instead_of_no():
+    r = run_cli(stdin="undefined_predicate(1).\nfail.\n")
+    assert r.returncode == 0
+    assert r.stderr.count("unknown_predicate") == 1
+    assert r.stderr.startswith("! engine ")
+    assert r.stdout.split().count("no") == 1  # only the second query's
 
 
 def test_repl_stop_after_first_answer():

@@ -9,7 +9,7 @@ import traceback
 
 import pytest
 
-from hornlog import Int, Session, Struct, Symbol, Var, deref, make_list, parse_term, write_term
+from hornlog import Atom, Int, Session, Struct, Var, deref, make_list, parse_term, write_term
 from hornlog.machine import Database
 from hornlog.terms import list_parts
 
@@ -24,7 +24,7 @@ app([H|T],L,[H|R]):-app(T,L,R).
 
 
 def clauses(s: Session, name: str, arity: int):
-    return s.db.pred((Symbol(name), arity)).clauses
+    return s.db.pred((Atom(name), arity)).clauses
 
 
 # -- compiled on the first call, named after the clause ------------------------
@@ -45,7 +45,7 @@ def test_generated_code_is_named_after_its_predicate_and_line():
     assert files == ["<app/3 at <text>:4>", "<app/3 at <text>:5>"]
     db = Database()
     db.add(parse_term("late(1)"), parse_term("true"))  # no origin
-    (cl,) = db.pred((Symbol("late"), 1)).clauses
+    (cl,) = db.pred((Atom("late"), 1)).clauses
     assert cl.compile().__code__.co_filename == "<late/1>"
 
 

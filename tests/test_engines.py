@@ -16,6 +16,13 @@ def test_get_protocol_exact_sequence(base):
     assert seq[2] is NO and seq[3] is NO and seq[4] is NO
 
 
+def test_reader_made_handle_term_has_the_handle_functor():
+    # the reader interns '$engine' to the very atom EngineRef.FUNCTOR is
+    from hornlog.engines import EngineRef, handle_id
+
+    assert handle_id(parse_term("'$engine'(3)"), EngineRef) == 3
+
+
 def test_new_engine_performs_no_work(base):
     before = base.error_count
     e = base.new_engine("X", "no_such_predicate_here(X)")

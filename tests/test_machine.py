@@ -11,7 +11,6 @@ from hornlog import (
     MachineFault,
     Machine,
     Session,
-    Symbol,
     Var,
     Yielded,
     eval_arith,
@@ -483,7 +482,7 @@ def test_one_lookup_per_predicate_call_and_one_call_per_builtin():
 
     saved_lookup = mach.Database.lookup
     saved = dict(mach.BUILTINS)
-    gt, between = (Symbol(">"), 2), (Symbol("between"), 3)
+    gt, between = (Atom(">"), 2), (Atom("between"), 3)
     try:
         mach.Database.lookup = counted("lookup", saved_lookup)
         mach.BUILTINS[gt] = counted(">", saved[gt])
@@ -590,13 +589,22 @@ def test_builtin_wins_over_program_clauses():
 def test_every_record_has_an_entry():
     s = Session()
     assert s.db.frozen and all(callable(p.fn) for p in s.db._preds.values())
-    for key in [(Symbol("undefined_pred"), 2), (Symbol("member"), 3)]:
-        p, args = s.db.resolve(parse_term(f"{key[0].text}({','.join('_' * key[1])})"))
+    for key in [(Atom("undefined_pred"), 2), (Atom("member"), 3)]:
+        p, args = s.db.resolve(parse_term(f"{key[0].name}({','.join('_' * key[1])})"))
         assert p.key == key and p.key not in s.db._preds
         with pytest.raises(MachineFault) as e:
             p.fn(None, args, None)
         assert e.value.kind == "unknown_predicate"
-        assert write_term(e.value.culprit) == f"{key[0].text}/{key[1]}"
+        assert write_term(e.value.culprit) == f"{key[0].name}/{key[1]}"
+
+
+def test_every_predicate_key_is_an_atom_and_an_arity():
+    from hornlog.machine import BUILTINS
+
+    s = Session()
+    keys = [*BUILTINS, *s.db._preds]
+    assert all(type(name) is Atom and type(arity) is int for name, arity in keys)
+    assert (Atom("member"), 2) in s.db._preds
 
 
 def test_answered_machine_resumes_through_its_goal_stack(base):

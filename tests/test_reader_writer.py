@@ -209,6 +209,14 @@ def test_write_unary_minus_over_int_roundtrips():
     assert variant(parse_term(write_term(t)), t)
 
 
+@pytest.mark.parametrize("text", ["'.'", "a='.'", "'.'(a)", "..", "=."])
+def test_dot_atoms_write_text_that_reparses(text):
+    # a lone . followed by layout or the end of input reads as a clause end
+    t = parse_term(text)
+    s = write_term(t)
+    assert variant(parse_term(s), t), s
+
+
 def test_write_operator_atom_as_operand_is_parenthesized():
     t = Struct("-", (Atom("-"), Int(1)))
     s = write_term(t)

@@ -22,13 +22,13 @@ from hornlog.terms import list_parts, term_vars
 from conftest import random_term, vars_below
 
 
-def test_symbol_interning_is_injective():
-    from hornlog import Symbol
-
-    assert Symbol("foo") is Symbol("foo")
-    assert Symbol("foo") is not Symbol("bar")
-    assert Symbol("foo").text == "foo"
+def test_atom_interning_is_injective():
     assert Atom("foo") is Atom("foo")
+    assert Atom("foo") is not Atom("bar")
+    assert Atom("foo").name == "foo"
+    # one name type: a functor is the atom of the same name
+    assert Struct("foo", (Int(1),)).functor is Atom("foo")
+    assert Struct(Atom("foo"), (Int(1),)).functor is Atom("foo")
 
 
 def test_unify_matching_compounds():
