@@ -8,7 +8,7 @@ and machine faults are reported on the session's diagnostic channel.
 
 from __future__ import annotations
 
-from .machine import MachineFault, builtin
+from .machine import EXHAUSTED, MachineFault, builtin
 from .terms import Atom, Int, Struct, deref, unify
 
 
@@ -101,7 +101,8 @@ def _bi_get(m, args, rest):
 @builtin("stop", 1)
 def _bi_stop(m, args, rest):
     m.session.stop_id(handle_id(args[0], EngineRef))
-    return True
+    # an engine that stopped itself runs none of the rest of its goal
+    return EXHAUSTED if m.dead else True
 
 
 @builtin("to_engine", 2)

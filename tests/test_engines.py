@@ -226,3 +226,19 @@ def test_kill_drops_the_mailbox(base):
     assert e.to_engine(parse_term("a")) and m.mailbox is not None
     e.stop()
     assert m.mailbox is None and not e.to_engine(parse_term("b"))
+
+
+def test_an_engine_that_stops_itself_runs_no_further():
+    s = Session(text="selfstop(X):-from_engine(E),stop(E),X=after_stop.")
+    e = s.new_engine("X", "selfstop(X)")
+    assert e.to_engine(e.term)
+    assert e.get() is NO
+    assert s.engine_count() == 0
+
+
+def test_an_engine_that_stops_itself_spawns_nothing_after():
+    s = Session()
+    e = s.new_engine("A", "(from_engine(E),stop(E),new_engine(Z,member(Z,[1,2]),C),get(C,A))")
+    assert e.to_engine(e.term)
+    assert e.get() is NO
+    assert s.engine_count() == 0

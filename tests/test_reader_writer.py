@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -11,6 +13,7 @@ from hornlog import (
     Struct,
     Var,
     deref,
+    make_list,
     parse_program,
     parse_term,
     variant,
@@ -199,6 +202,94 @@ def test_roundtrip_random_terms():
         t = random_term(rng, 4)
         back = parse_term(write_term(t))
         assert variant(back, t), write_term(t)
+
+
+# names that need care: quoted, bare only alone, or operators
+_AWKWARD = ["a", "!", ";", "[]", "|", "[", "{}", "x y", "", "-", ":-", ",", "mod"]
+
+
+def _awkward_term(rng: random.Random, depth: int, pool: list):
+    """Random term over awkward names, prefix and infix operators over
+    compound operands, negative integers and shared variables."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.30:
+        kind = rng.random()
+        if kind < 0.5:
+            return Atom(rng.choice(_AWKWARD))
+        if kind < 0.8:
+            return Int(rng.randint(-9, 9))
+        return rng.choice(pool)
+    sub = [_awkward_term(rng, depth - 1, pool) for _ in range(rng.randint(1, 3))]
+    if roll < 0.40:
+        tail = rng.choice(pool) if rng.random() < 0.2 else Atom("[]")
+        return make_list(sub, tail)
+    if roll < 0.60:
+        return Struct(rng.choice(["-", "+", "=", ":-", ",", "mod", "is"]), (sub[0], sub[-1]))
+    if roll < 0.75:
+        return Struct(rng.choice(["-", ":-"]), (sub[0],))
+    return Struct(rng.choice(_AWKWARD), tuple(sub))
+
+
+def test_roundtrip_random_awkward_terms():
+    rng = random.Random(1009)
+    for _ in range(3000):
+        t = _awkward_term(rng, 4, [Var() for _ in range(3)])
+        s = write_term(t)
+        assert variant(parse_term(s), t), s
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a- -1",
+        "1 mod 2",
+        "a= \\+",
+        "- -a",
+        "(-)-(-)",
+        "-(3)",
+        "1- -(1)",
+        "f((a:-b))",
+        ":-a,b",
+        "-(a+b)",
+        "-(-)",
+        "- (a,b)",
+        "- (:-a)",
+        ":- (:-a)",
+        ":- (a:-b),c",
+        "'!'(a)",
+        "';'(a)",
+        "'[]'(a)",
+        "f(!,;,[])",
+    ],
+)
+def test_write_spacing_and_quoting_are_pinned(text):
+    assert write_term(parse_term(text)) == text
+
+
+def test_threads_writing_the_same_new_atoms_get_the_same_text():
+    # the atom token caches are shared; these atoms were never written before
+    text = "'w{0} x'('!'(w{0}), [';', 'w{0} x'|w{0}], - ('w{0} x',w{0}))"
+    terms = [parse_term(text.format(i)) for i in range(300)]
+    start = threading.Barrier(4)
+    texts: list[list[str]] = [[] for _ in range(4)]
+
+    def write_all(out):
+        start.wait()
+        out.extend(write_term(t) for t in terms)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write_all, args=(out,)) for out in texts]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert all(out == [write_term(t) for t in terms] for out in texts)
+    assert texts[0][7] == "'w7 x'('!'(w7),[;,'w7 x'|w7],- ('w7 x',w7))"
 
 
 def test_write_unary_minus_over_int_roundtrips():
