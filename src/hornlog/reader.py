@@ -39,8 +39,17 @@ PREFIX = {
     "-": (200, "fy"),
 }
 
-_SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&")
+# The lexical classes: a run of symbol chars or of identifier chars reads
+# as one token. The writer spaces its output by the same classes.
+SYMBOL_CHARS = frozenset("+-*/\\^<>=~:.?@#&")
 _SOLO = set("!;")
+
+
+def is_ident_char(c: str) -> bool:
+    """Whether c continues a name or a variable: a letter or number of any
+    script, or `_`."""
+    return c.isalnum() or c == "_"
+
 
 # Terms nested deeper than this are refused with a ParseError, so that
 # outside input cannot exhaust the host stack the parser recurses on.
@@ -91,15 +100,20 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         col = i - bol
-        if c.isdigit():
+        if c.isdecimal():  # not isdigit: int() refuses digits such as ²
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            toks.append(Token("int", text[i:j], line, col, value=int(text[i:j])))
+            try:
+                value = int(text[i:j])
+            except ValueError:  # longer than the host's int/str conversion limit
+                err(f"integer literal of {j - i} digits is too long", i)
+            toks.append(Token("int", text[i:j], line, col, value=value))
             i = j
             continue
         if c == "_" or c.isalpha():
             j = i
+            # is_ident_char inlined: a call per char reads the prelude a sixth slower
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             word = text[i:j]
@@ -149,9 +163,9 @@ def tokenize(text: str) -> list[Token]:
                 i += 1
                 continue
             # fall through: part of a symbolic atom
-        if c in _SYMBOL_CHARS:
+        if c in SYMBOL_CHARS:
             j = i
-            while j < n and text[j] in _SYMBOL_CHARS:
+            while j < n and text[j] in SYMBOL_CHARS:
                 j += 1
             tok = Token("atom", text[i:j], line, col)
             if j < n and text[j] == "(":

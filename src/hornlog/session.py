@@ -175,7 +175,7 @@ class Session:
             return None
         return self._launch(machine)
 
-    def bg(self, goal) -> ThreadRef | None:
+    def bg(self, goal) -> ThreadRef:
         """Run a goal to exhaustion on a fresh engine and thread."""
         if isinstance(goal, str):
             goal = parse_term(goal)

@@ -1,19 +1,20 @@
 """Native threads and the producer/consumer hub.
 
 A hub is the only data path between threads: every term is copied at put
-time, sharing only its variable-free subterms, which never change;
-it is collected by at most one consumer, FIFO per producer. A consumer
-that waits longer than the hub's timeout signals failure; timeout 0 means
-wait indefinitely. Handing an engine to run_bg transfers ownership: the
-handle stops resolving for the caller, so no client operation can reach an
-engine that is running on its own thread.
+time, sharing only its variable-free subterms, which never change; it is
+collected by at most one consumer, FIFO per producer. A hub is a
+`queue.SimpleQueue` of such copies, so a waiting consumer blocks in the
+queue's own timed get. A consumer that waits longer than the hub's timeout
+signals failure; timeout 0 means wait indefinitely. Handing an engine to
+run_bg transfers ownership: the handle stops resolving for the caller, so
+no client operation can reach an engine that is running on its own thread.
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from collections import deque
 
 from .engines import EngineRef, Handle, handle_id
 from .machine import MachineFault, builtin, _int_arg
@@ -21,41 +22,26 @@ from .terms import Atom, copy_term, deref, unify
 
 
 class Hub(Handle):
-    """M-producer/N-consumer term exchanger with consumer timeout."""
+    """M-producer/N-consumer term exchanger: a queue of copies, from which
+    a consumer waits at most timeout_ms for the next (0: no limit)."""
 
-    __slots__ = ("timeout_ms", "_queue", "_cond")
+    __slots__ = ("_timeout", "_queue")
     FUNCTOR = Atom("$hub")
 
     def __init__(self, timeout_ms: int):
         self.id = 0
-        self.timeout_ms = timeout_ms
-        self._queue: deque = deque()
-        self._cond = threading.Condition()
+        self._timeout = timeout_ms / 1000.0 if timeout_ms > 0 else None  # None: no limit
+        self._queue = queue.SimpleQueue()
 
     def put(self, term) -> None:
-        item = copy_term(term)
-        with self._cond:
-            self._queue.append(item)
-            self._cond.notify()
+        self._queue.put(copy_term(term))
 
     def collect(self):
-        """Next term in FIFO order, or None after `timeout_ms` of waiting.
-
-        Measured with the monotonic clock; granularity is >= 1ms.
-        """
-        deadline = None
-        if self.timeout_ms > 0:
-            deadline = time.monotonic() + self.timeout_ms / 1000.0
-        with self._cond:
-            while not self._queue:
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    self._cond.wait(remaining)
-            return self._queue.popleft()
+        """Next term in FIFO order, or None after `timeout_ms` of waiting."""
+        try:
+            return self._queue.get(timeout=self._timeout)
+        except queue.Empty:
+            return None
 
 
 class ThreadRef(Handle):
@@ -76,7 +62,8 @@ class ThreadRef(Handle):
 
 @builtin("bg", 1)
 def _bi_bg(m, args, rest):
-    return m.session.bg(args[0]) is not None
+    m.session.bg(args[0])
+    return True
 
 
 @builtin("run_bg", 2)

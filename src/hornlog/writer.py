@@ -1,10 +1,13 @@
 """Canonical term output: reparses to a variant of the input.
 
 Operators print infix/prefix per the fixed table, lists in bracket notation,
-unbound variables as _G<serial>. Nesting beyond the depth limit is elided
-with `...` so cyclic terms (possible without an occurs check) still print.
-A list's elements nest but its spine does not, so a list prints in full at
-any length; a spine that cycles back on itself ends in `|...`.
+unbound variables as _G<serial>, integers in full at any length. Nesting
+beyond the depth limit is elided with `...`. A term can only cycle through
+a bound variable (possible without an occurs check), so a bound variable
+met again inside its own value is written as `...` too, and a cycle is
+written once however many arguments it runs through. A list's elements
+nest but its spine does not, so a list prints in full at any length; a
+spine that cycles back on itself ends in `|...`.
 
 A term is written in one pass: its tokens go straight into one list, which
 is joined once. Brackets, commas and `|` separate tokens by themselves, so
@@ -23,23 +26,18 @@ atom ever written, as `Atom` itself keeps every atom for the process's life.
 
 from __future__ import annotations
 
-from .reader import INFIX, PREFIX
+from .reader import INFIX, PREFIX, SYMBOL_CHARS, is_ident_char
 from .terms import DOT, NIL, Atom, Int, Struct, Var, deref
 
 MAX_DEPTH = 64
 
-_SYMBOL_CHARS = set("+-*/\\^<>=~:.?@#&")
 _BARE_ALONE = ("[]", "!", ";")  # '[]'(a), '!'(a) and ';'(a) read back; [](a) does not
-
-
-def _is_ident_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
 
 
 def _runs_together(a: str, b: str) -> bool:
     """Whether the chars a and b, written side by side, read as one token."""
-    return (a in _SYMBOL_CHARS and b in _SYMBOL_CHARS) or (
-        _is_ident_char(a) and _is_ident_char(b)
+    return (a in SYMBOL_CHARS and b in SYMBOL_CHARS) or (
+        is_ident_char(a) and is_ident_char(b)
     )
 
 
@@ -47,9 +45,9 @@ def _needs_quote(name: str) -> bool:
     """Whether the name must be quoted as a functor."""
     if not name:
         return True
-    if name[0].isalpha() and name[0].islower() and all(_is_ident_char(c) for c in name):
+    if name[0].isalpha() and name[0].islower() and all(is_ident_char(c) for c in name):
         return False
-    if name != "." and all(c in _SYMBOL_CHARS for c in name):  # a lone . ends a clause
+    if name != "." and all(c in SYMBOL_CHARS for c in name):  # a lone . ends a clause
         return False
     return True
 
@@ -86,39 +84,64 @@ _MINUS = Atom("-")
 _UNGROUPED = 1201  # what _emit wrote is not one parenthesised group
 
 
+_SHORT_INT = 10**500  # str() writes anything below: a host's digit limit is 0 or >= 640
+
+
+def _long_int_text(v: int) -> str:
+    """The decimal text of an integer too long for str() under the host's
+    int/str digit limit, written in parts that each stay under it."""
+    if v < 0:
+        return "-" + _long_int_text(-v)
+    if v < _SHORT_INT:
+        return str(v)
+    k = v.bit_length() * 3 // 20  # about half of v's decimal digits
+    hi, lo = divmod(v, 10**k)
+    return _long_int_text(hi) + _long_int_text(lo).zfill(k)
+
+
 def write_term(t) -> str:
     out: list[str] = []
-    _emit(t, 1200, 0, out, False)
+    _emit(t, 1200, 0, out, False, ())
     return "".join(out)
 
 
-def _emit(t, max_p: int, depth: int, out: list[str], operand: bool):
-    """Append the tokens of t, written to fit priority max_p. When what it
-    appends starts with `(`, returns the priority the inside of that `(`
-    reads at if the `(` closes only at the end, else _UNGROUPED."""
+def _emit(t, max_p: int, depth: int, out: list[str], operand: bool, path: tuple):
+    """Append the tokens of t, written to fit priority max_p, below the
+    bound variables in path. When what it appends starts with `(`, returns
+    the priority the inside of that `(` reads at if the `(` closes only at
+    the end, else _UNGROUPED."""
     if depth > MAX_DEPTH:
         out.append("...")
         return
     tt = type(t)
     if tt is Var:
+        v = t
         t = deref(t)
         tt = type(t)
         if tt is Var:
             out.append(f"_G{t.serial}")
             return
+        if tt is Struct:
+            if v in path:  # a cycle closes here
+                out.append("...")
+                return
+            return _emit(t, max_p, depth, out, operand, path + (v,))
     if tt is Atom:
         tok = _TOKENS.get(t) or _atom_token(t)
         out.append("(" + tok + ")" if operand and t in _OPERATORS else tok)
         return 0
     if tt is Int:
-        out.append(str(t.value))
+        try:
+            out.append(str(t.value))
+        except ValueError:  # past the host's int/str digit limit
+            out.append(_long_int_text(t.value))
         return
     # compound
     f = t.functor
     args = t.args
     if len(args) == 2:
         if f is DOT:
-            _emit_list(t, depth, out)
+            _emit_list(t, depth, out, path)
             return
         op = _INFIX.get(f)
         if op is not None:
@@ -126,12 +149,12 @@ def _emit(t, max_p: int, depth: int, out: list[str], operand: bool):
             wrap = p > max_p
             if wrap:
                 out.append("(")
-            _emit(args[0], lmax, depth + 1, out, True)
+            _emit(args[0], lmax, depth + 1, out, True, path)
             if _runs_together(out[-1][-1], tok[0]):
                 tok = " " + tok
             out.append(tok)
             i = len(out)
-            _emit(args[1], rmax, depth + 1, out, True)
+            _emit(args[1], rmax, depth + 1, out, True, path)
             if _runs_together(tok[-1], out[i][0]):
                 out[i - 1] = tok + " "
             if wrap:
@@ -148,7 +171,7 @@ def _emit(t, max_p: int, depth: int, out: list[str], operand: bool):
                 out.append("(")
             out.append(tok)
             i = len(out)
-            inside = _emit(args[0], amax, depth + 1, out, True)
+            inside = _emit(args[0], amax, depth + 1, out, True, path)
             c = out[i][0]
             if c == "(" and inside <= 999:
                 # op(...) reads as op applied to what the parentheses hold:
@@ -167,19 +190,21 @@ def _emit(t, max_p: int, depth: int, out: list[str], operand: bool):
     for a in args:
         out.append(sep)
         sep = ","
-        if type(a) is Var:
-            a = deref(a)
+        # a variable goes to _emit, which keeps the path of bound ones
         ta = type(a)
         if ta is Atom and depth <= MAX_DEPTH:
             out.append(_TOKENS.get(a) or _atom_token(a))
         elif ta is Int and depth <= MAX_DEPTH:
-            out.append(str(a.value))
+            try:
+                out.append(str(a.value))
+            except ValueError:
+                out.append(_long_int_text(a.value))
         else:
-            _emit(a, 999, depth, out, False)
+            _emit(a, 999, depth, out, False, path)
     out.append(")")
 
 
-def _emit_list(t, depth: int, out: list[str]):
+def _emit_list(t, depth: int, out: list[str], path: tuple):
     # the spine is written in a loop at any length; only the elements nest.
     # Struct arguments never change, so a spine can only cycle through a
     # bound variable: a repeated one ends the list as |...
@@ -188,15 +213,16 @@ def _emit_list(t, depth: int, out: list[str]):
     seen: set[Var] = set()
     while True:
         a = t.args[0]
-        if type(a) is Var:
-            a = deref(a)
         ta = type(a)
         if ta is Atom and depth <= MAX_DEPTH:
             out.append(_TOKENS.get(a) or _atom_token(a))
         elif ta is Int and depth <= MAX_DEPTH:
-            out.append(str(a.value))
+            try:
+                out.append(str(a.value))
+            except ValueError:
+                out.append(_long_int_text(a.value))
         else:
-            _emit(a, 999, depth, out, False)
+            _emit(a, 999, depth, out, False, path)
         tail = t.args[1]
         while type(tail) is Var and tail.ref is not None:
             if tail in seen:
@@ -210,6 +236,6 @@ def _emit_list(t, depth: int, out: list[str]):
         else:
             if tail is not NIL:
                 out.append("|")
-                _emit(tail, 999, depth, out, False)
+                _emit(tail, 999, depth, out, False, path + tuple(seen))
             out.append("]")
             return

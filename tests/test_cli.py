@@ -66,6 +66,21 @@ def test_batch_deeply_nested_goal_is_a_parse_error():
     assert [line[0] for line in r.stderr.splitlines()] == ["!"]
 
 
+def test_batch_superscript_digit_is_a_parse_error():
+    r = run_cli("--goal", "X = ²")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert [line[0] for line in r.stderr.splitlines()] == ["!"]
+
+
+def test_batch_prints_an_integer_past_the_hosts_digit_limit(tmp_path):
+    f = tmp_path / "pw.pl"
+    f.write_text("pw(0,1). pw(N,X):-N>0,N1 is N-1,pw(N1,Y),X is Y*10.\n")
+    r = run_cli("--consult", str(f), "--goal", "pw(5000,X)")
+    assert r.returncode == 0
+    assert r.stdout.strip() == "X=1" + "0" * 5000
+
+
 def test_batch_deep_arithmetic():
     r = run_cli("--goal", "X is " + "+".join(["1"] * 1500))
     assert r.returncode == 0

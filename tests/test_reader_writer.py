@@ -116,6 +116,23 @@ def test_deep_nesting_is_a_parse_error(opening, closing):
         parse_program("p(" + opening * 5000 + "a" + closing * 5000 + ").")
 
 
+@pytest.mark.parametrize("text", ["X = ²", "X = 1²", "f(2³)"])
+def test_digits_that_are_not_decimal_are_a_parse_error(text):
+    with pytest.raises(ParseError) as e:
+        parse_term(text)
+    assert "unexpected character" in e.value.message
+
+
+def test_integer_literal_past_the_hosts_digit_limit_is_a_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length")
+    assert parse_term("1" * limit).value == int("1" * limit)
+    with pytest.raises(ParseError) as e:
+        parse_term("X = " + "1" * (limit + 1))
+    assert "too long" in e.value.message and e.value.col == 5
+
+
 def test_long_conjunction_reads_without_nesting():
     body = ",".join(f"g{i}" for i in range(5000))
     (cl,) = parse_program(f"p:-{body}.")
@@ -348,3 +365,31 @@ def test_element_nesting_is_still_depth_limited_inside_a_list():
     s = write_term(x)
     assert "..." in s and len(s) < 1000
     parse_term(s)
+
+
+def test_integers_past_the_hosts_digit_limit_write_in_full():
+    from hornlog.writer import _long_int_text
+
+    big = 10**5000
+    assert write_term(Int(big)) == "1" + "0" * 5000
+    assert write_term(Struct("f", (Int(-big - 7), Int(1)))) == "f(-1" + "0" * 4999 + "7,1)"
+    assert write_term(make_list([Int(big)])) == "[1" + "0" * 5000 + "]"
+    rng = random.Random(5)
+    for digits in (1, 499, 500, 501, 1200, 4000):
+        v = rng.randrange(10 ** (digits - 1), 10**digits)
+        assert _long_int_text(v) == str(v) and _long_int_text(-v) == str(-v)
+    assert _long_int_text(10**3000 + 1) == str(10**3000 + 1)  # zero padding inside
+
+
+@pytest.mark.parametrize("functor", ["f", "="])
+def test_cycle_through_two_arguments_writes_quickly_and_parses(functor):
+    from hornlog import Trail, unify
+
+    x = Var()
+    assert unify(x, Struct(functor, (x, x)), Trail())  # X = f(X,X), X = (X=X)
+    s = write_term(x)
+    assert s.replace(" ", "") == ("f(...,...)" if functor == "f" else "...=...")
+    back = parse_term(s)
+    assert back.name == functor and back.args == (Atom("..."), Atom("..."))
+    goal = Struct("g", (x, Struct("h", (x,))))  # X met again below another term
+    assert write_term(goal).replace(" ", "").count("...") == 4

@@ -76,6 +76,13 @@ def test_error_channel_counts():
     assert s.error_count == 2 and len(lines) == 2
 
 
+def test_fault_on_an_integer_past_the_hosts_digit_limit_answers_no():
+    lines = []
+    s = Session(text="pw(0,1). pw(N,X):-N>0,N1 is N-1,pw(N1,Y),X is Y*10.", on_error=lines.append)
+    assert s.first("Z", "pw(4400,X), Z is X mod 0") is None
+    assert len(lines) == 1 and "1" + "0" * 4400 in lines[0]
+
+
 def test_on_event_hook_sees_engine_events():
     events = []
     s = Session(on_event=lambda eid, ev: events.append((eid, type(ev).__name__)))

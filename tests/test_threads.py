@@ -33,6 +33,32 @@ def test_hub_timeout_signals_failure(base):
     assert 0.010 <= elapsed <= 0.100
 
 
+def test_waiting_consumer_is_woken_by_a_later_put(base):
+    h = base.hub(2000)
+    timer = threading.Timer(0.020, h.put, args=(parse_term("late"),))
+    t0 = time.monotonic()
+    timer.start()
+    got = h.collect()
+    elapsed = time.monotonic() - t0
+    timer.join(timeout=10)
+    assert not timer.is_alive()
+    assert write_term(got) == "late"
+    assert 0.015 <= elapsed <= 1.0
+
+
+def test_hub_without_timeout_blocks_until_a_put(base):
+    h = base.hub(0)
+    got = []
+    consumer = threading.Thread(target=lambda: got.append(h.collect()), daemon=True)
+    consumer.start()
+    consumer.join(timeout=0.2)
+    assert consumer.is_alive() and got == []
+    h.put(parse_term("f(x)"))
+    consumer.join(timeout=10)
+    assert not consumer.is_alive()
+    assert [write_term(t) for t in got] == ["f(x)"]
+
+
 def test_hub_copies_at_put(base):
     from hornlog import Trail, Var, unify
 
