@@ -17,14 +17,20 @@ entry: a builtin, the clause entry of a predicate with clauses, or an
 entry that faults unknown_predicate. The machine's own steps are goals of
 internal records too: a body cut carries its clause's barrier, the goal
 below a query's goal hands out its answer, and an answered machine is left
-a fail goal, so resuming it backtracks into its choice points.
+a fail goal, so resuming it backtracks into its choice points. A clause
+entry runs a deterministic call of its own predicate in place: when the
+one candidate clause's body starts with a call of the same record, the
+entry goes on with that call instead of returning it to the run loop, so
+app/3 over a list is one entry call.
 
 A clause is tried by one Python function generated for it, in the spirit
 of the WAM's get/unify/put instructions: the function unifies the head
 with the goal's arguments, with a test specialised to each head node, and
-returns the goal chain with the body pushed. It is generated and compiled
-the first time the clause is tried, so loading a program compiles nothing
-and a clause never called costs nothing.
+returns the goal chain with the body pushed. It is generated the first
+time the clause is tried, so loading a program compiles nothing and a
+clause never called costs nothing. Its source names every term and record
+as a closure value, so compiling it is kept for the process: another
+session over the same program compiles nothing.
 
 Bindings are trailed conditionally: a variable younger than the newest
 choice point would die with the backtrack anyway, so it is not recorded.
@@ -157,16 +163,36 @@ class Clause:
         return src.text(), src.values()
 
     def compile(self):
-        """Generate and compile run, keep it, and return it. Threads that
-        race here each keep an equivalent function; the last one stays."""
+        """Generate run, keep it, and return it. The source is compiled
+        once per process: a clause of another session with the same code
+        name and source reuses its make. Threads that race here each keep
+        an equivalent function; the last one stays."""
         text, values = self.source()
         name, arity = self.key
         where = "" if self.origin is None else " at {}:{}".format(*self.origin)
-        code = compile(text, f"<{name.name}/{arity}{where}>", "exec", dont_inherit=True)
-        ns: dict = {}
-        exec(code, globals(), ns)  # unify and the rest are read from this module
-        self.run = run = ns["make"](*values)
+        key = (f"<{name.name}/{arity}{where}>", text)
+        make = _makes.get(key)
+        if make is None:
+            code = compile(text, key[0], "exec", dont_inherit=True)
+            ns: dict = {}
+            exec(code, globals(), ns)  # unify and the rest are read from this module
+            make = ns["make"]
+            if len(_makes) >= _MAKES_MAX:
+                # drop the oldest, as re's cache does; another thread may
+                # be adding or dropping one at the same time
+                try:
+                    del _makes[next(iter(_makes))]
+                except (StopIteration, RuntimeError, KeyError):
+                    pass
+            _makes[key] = make
+        self.run = run = make(*values)
         return run
+
+
+# (code name, source) -> the make function it compiles to: code only, no
+# term, record or session, so a dropped session is freed as before
+_MAKES_MAX = 512
+_makes: dict[tuple[str, str], object] = {}
 
 
 new = object.__new__  # generated code makes a Struct without running __init__
@@ -178,7 +204,7 @@ class _ClauseSource:
     Every term and record reaches the function as a closure value k<n>;
     the source names nothing else but numbered temporaries and this
     module's globals, so no clause text can end up in it. Each template
-    node adds a few lines, nested at most two blocks deep in run whatever
+    node adds a few lines, nested at most three blocks deep in run whatever
     the depth of its term, so the source is linear in the clause and meets
     none of the compiler's nesting limits.
 
@@ -217,6 +243,12 @@ class _ClauseSource:
 
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * (depth + 2) + line)
+
+    def bind(self, depth: int, name: str, value: str) -> None:
+        """Bind the unbound variable name to value, trailed as bind trails."""
+        self.emit(depth, f"{name}.ref = {value}")
+        self.emit(depth, f"if {name}.serial < trail.boundary:")
+        self.emit(depth + 1, f"trail.entries.append({name})")
 
     def struct(self, depth: int, t) -> str:
         """Make the Struct of compound template t, whose compound arguments
@@ -263,7 +295,7 @@ class _ClauseSource:
                 b = self.struct(1, t)
                 if not root:
                     self.emit(1, f"if {name} is not None:")
-                self.emit(1 if root else 2, f"bind({name}, {b}, trail)")
+                self.bind(1 if root else 2, name, b)
                 continue
             live = "" if root else f"{name} is not None and "  # None: inside a built compound
             if type(t) is VarSlot:  # a later occurrence
@@ -279,7 +311,7 @@ class _ClauseSource:
                 continue
             k = self.const(t)
             self.emit(0, f"if type({name}) is Var:")
-            self.emit(1, f"bind({name}, {k}, trail)")
+            self.bind(1, name, k)
             if type(t) is Atom:  # interned: distinct objects are distinct atoms
                 self.emit(0, f"elif {live}{name} is not {k}:")
             else:  # an integer or a ground compound
@@ -445,23 +477,6 @@ def compile_clause(head, body, db: "Database", origin=None) -> Clause:
     return Clause(key, cargs, tuple(goals), origin)
 
 
-def _index_key(t):
-    """First-argument index key of a bound term: the atom itself, the
-    integer's value, or (functor, arity); None for an unbound variable or
-    a head slot."""
-    t = deref(t)
-    tt = type(t)
-    if tt is Atom:
-        return t
-    if tt is Int:
-        return t.value
-    if tt is Struct:
-        return (t.functor, len(t.args))
-    if tt is tuple:  # a compound template
-        return (t[0], len(t[1]))
-    return None
-
-
 class Pred:
     """A predicate record: what every call site of one name/arity resolves
     to. fn is its entry, called as fn(machine, args, rest): the builtin of
@@ -469,8 +484,10 @@ class Pred:
     precedence over clauses (None if there are none); otherwise link()
     makes the record a ClausePred or an UnknownPred as the database
     freezes. Their fn is a method, so a record never refers to itself and
-    is freed with its session. index holds the first-argument index once
-    the database freezes: (clauses per first-argument key, clauses with a
+    is freed with its session. A ClausePred's entry runs its calls of
+    itself in place while each has one candidate clause, and still asks
+    Database.lookup once per call. index holds the first-argument index once the
+    database freezes: (clauses per first-argument key, clauses with a
     variable first argument)."""
 
     __slots__ = ("key", "clauses", "index", "fn")
@@ -490,20 +507,33 @@ class ClausePred(Pred):
     __slots__ = ()
 
     def fn(self, m: "Machine", args, rest):
-        """Run the one candidate clause, or try several from a choice point."""
-        clauses = m.db.lookup(self, args)
-        if len(clauses) == 1:
+        """Run the one candidate clause, or try several from a choice point.
+        While the one candidate's body starts with a call of this record,
+        that call, which the machine would run next, runs here in place. A
+        fact hands back its caller's continuation, and that goes back to
+        _run: _run still holds the chain it called with, so running on into
+        it here would keep every goal done meanwhile alive."""
+        lookup = m.db.lookup  # read through the class: a tracer may wrap it
+        trail = m.trail
+        barrier = len(m.cps)  # a clause run pushes no choice point
+        while True:
+            clauses = lookup(self, args)
+            if len(clauses) != 1:
+                break
             cl = clauses[0]
-            goals = (cl.run or cl.compile())(args, m.trail, rest, len(m.cps))
+            goals = (cl.run or cl.compile())(args, trail, rest, barrier)
             if goals is False:
                 return False
-            m.goals = goals
-            return None
+            if goals is rest or goals[0][0] is not self:
+                m.goals = goals
+                return None
+            goal, rest = goals
+            args = goal[1]
         if not clauses:
             return False
         # the choice point must exist before head unification so that the
         # bindings it makes are trailed against this choice point
-        cp = ClauseCP(args, rest, clauses, m.trail.mark(), len(m.cps))
+        cp = ClauseCP(args, rest, clauses, trail.mark(), barrier)
         m._push_cp(cp)
         return None if cp.retry(m) else False
 
@@ -552,12 +582,22 @@ class Database:
             table: dict = {}
             unkeyed: list[Clause] = []
             for cl in clauses:
-                k = _index_key(cl.args[0])
-                if k is None:
+                t = cl.args[0]  # a template, keyed as lookup keys a term
+                tt = type(t)
+                if tt is VarSlot:
                     unkeyed.append(cl)
                     for candidates in table.values():
                         candidates.append(cl)
-                elif k in table:
+                    continue
+                if tt is tuple:  # a compound holding a slot
+                    k = (t[0], len(t[1]))
+                elif tt is Struct:
+                    k = (t.functor, len(t.args))
+                elif tt is Int:
+                    k = t.value
+                else:  # an atom
+                    k = t
+                if k in table:
                     table[k].append(cl)
                 else:
                     table[k] = unkeyed + [cl]
@@ -591,14 +631,24 @@ class Database:
         """Clauses that may match a call of a predicate with clauses, in
         source order; its clause entry asks once per call. A bound first
         argument selects only the clauses whose first argument has its key
-        or is a variable."""
+        (the atom itself, the integer's value, or functor and arity) or is
+        a variable."""
         index = pred.index
-        if index is not None:
-            k = _index_key(args[0])
-            if k is not None:
-                table, unkeyed = index
-                return table.get(k, unkeyed)
-        return pred.clauses
+        if index is None:
+            return pred.clauses
+        t = args[0]
+        while type(t) is Var:
+            t = t.ref
+            if t is None:
+                return pred.clauses
+        tt = type(t)
+        if tt is Struct:
+            k = (t.functor, len(t.args))
+        elif tt is Int:
+            k = t.value
+        else:
+            k = t
+        return index[0].get(k, index[1])
 
 
 # ---------------------------------------------------------------------------
@@ -809,16 +859,19 @@ def eval_arith(t) -> int:
     """Evaluate a ground integer expression: + - * / mod, unary -, and
     integer(sqrt(N)) as the floor of the exact integer square root. An
     expression of one operator on two integers, such as N-1, is evaluated
-    directly; any other over an explicit stack, so depth costs no host
-    stack."""
-    t = deref(t)
+    directly, dereferenced inline; any other over an explicit stack, so
+    depth costs no host stack."""
+    while type(t) is Var and t.ref is not None:
+        t = t.ref
     tt = type(t)
     if tt is Int:
         return t.value
     if tt is Struct and len(t.args) == 2:
         a, b = t.args
-        a = deref(a)
-        b = deref(b)
+        while type(a) is Var and a.ref is not None:
+            a = a.ref
+        while type(b) is Var and b.ref is not None:
+            b = b.ref
         if type(a) is Int and type(b) is Int:
             return _binary(t, a.value, b.value)
     return _eval_stack(t)

@@ -156,8 +156,8 @@ class Session:
     # -- hubs and threads ------------------------------------------------------
 
     def hub(self, timeout_ms: int) -> Hub:
-        if timeout_ms < 0:
-            raise ValueError("hub timeout must be >= 0")
+        if not 0 <= timeout_ms <= threading.TIMEOUT_MAX * 1000:
+            raise ValueError("hub timeout must be from 0 to threading.TIMEOUT_MAX seconds")
         return self._add(Hub(timeout_ms))
 
     def run_bg(self, ref: EngineRef) -> ThreadRef | None:

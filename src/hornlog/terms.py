@@ -64,7 +64,12 @@ class Int:
         self.value = value
 
     def __repr__(self) -> str:
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError:  # past the host's int/str digit limit
+            from .writer import _long_int_text  # the writer imports this module
+
+            return _long_int_text(self.value)
 
 
 class Struct:
@@ -135,46 +140,49 @@ def unify(a, b, trail: Trail) -> bool:
 
     On failure the trail is rolled back to its state at entry. No occurs
     check: unifying a variable with a term containing it builds a cyclic
-    term, as in mainstream Prolog.
+    term, as in mainstream Prolog. Dereferencing, binding and the undo are
+    inline, and the stack of argument pairs is made only when two
+    compounds meet.
     """
-    mark = trail.mark()
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        x = deref(x)
-        y = deref(y)
-        if x is y:
-            continue
-        tx = type(x)
-        ty = type(y)
-        if tx is Var:
-            if ty is Var and y.serial > x.serial:
-                bind(y, x, trail)  # point the younger at the older
-            else:
-                bind(x, y, trail)
-            continue
-        if ty is Var:
-            bind(y, x, trail)
-            continue
-        if tx is not ty:
-            trail.undo_to(mark)
-            return False
-        if tx is Int:
-            if x.value != y.value:
-                trail.undo_to(mark)
+    entries = trail.entries
+    boundary = trail.boundary
+    mark = len(entries)
+    stack = None
+    while True:
+        while type(a) is Var and a.ref is not None:
+            a = a.ref
+        while type(b) is Var and b.ref is not None:
+            b = b.ref
+        if a is not b:
+            ta = type(a)
+            tb = type(b)
+            if ta is Var:
+                if tb is Var and b.serial > a.serial:
+                    a, b = b, a  # point the younger at the older
+                a.ref = b
+                if a.serial < boundary:
+                    entries.append(a)
+            elif tb is Var:
+                b.ref = a
+                if b.serial < boundary:
+                    entries.append(b)
+            elif (
+                ta is not tb
+                or ta is Atom  # interned: distinct objects are distinct atoms
+                or (ta is Int and a.value != b.value)
+                or (ta is Struct and (a.functor is not b.functor or len(a.args) != len(b.args)))
+            ):
+                while len(entries) > mark:
+                    entries.pop().ref = None
                 return False
-            continue
-        if tx is Atom:  # interned: distinct objects are distinct atoms
-            trail.undo_to(mark)
-            return False
-        # both Struct
-        xargs = x.args
-        yargs = y.args
-        if x.functor is not y.functor or len(xargs) != len(yargs):
-            trail.undo_to(mark)
-            return False
-        stack.extend(zip(xargs, yargs))
-    return True
+            elif ta is Struct:
+                if stack is None:
+                    stack = list(zip(a.args, b.args))
+                else:
+                    stack.extend(zip(a.args, b.args))
+        if not stack:
+            return True
+        a, b = stack.pop()
 
 
 def copy_term(t, vmap: dict | None = None):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 
 from .engines import EngineRef, Handle, handle_id
 from .machine import MachineFault, builtin, _int_arg
@@ -60,6 +59,15 @@ class ThreadRef(Handle):
         self.thread.join()
 
 
+def _ms_arg(t) -> int:
+    """A count of milliseconds the host can wait: from 0 up to
+    threading.TIMEOUT_MAX seconds; any other integer is a type error."""
+    ms = _int_arg(t)
+    if not 0 <= ms <= threading.TIMEOUT_MAX * 1000:
+        raise MachineFault("type_error", deref(t))
+    return ms
+
+
 @builtin("bg", 1)
 def _bi_bg(m, args, rest):
     m.session.bg(args[0])
@@ -76,10 +84,7 @@ def _bi_run_bg(m, args, rest):
 
 @builtin("hub_ms", 2)
 def _bi_hub_ms(m, args, rest):
-    timeout = _int_arg(args[0])
-    if timeout < 0:
-        raise MachineFault("type_error", deref(args[0]))
-    hub = m.session.hub(timeout)
+    hub = m.session.hub(_ms_arg(args[0]))
     return unify(args[1], hub.term, m.trail)
 
 
@@ -119,8 +124,7 @@ def _bi_join_thread(m, args, rest):
 
 @builtin("sleep_ms", 1)
 def _bi_sleep_ms(m, args, rest):
-    ms = _int_arg(args[0])
-    if ms < 0:
-        raise MachineFault("type_error", deref(args[0]))
-    time.sleep(ms / 1000.0)
+    # an event that is never set waits up to TIMEOUT_MAX; time.sleep may
+    # reject a shorter wait that would end past the monotonic clock's range
+    threading.Event().wait(_ms_arg(args[0]) / 1000.0)
     return True

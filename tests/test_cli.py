@@ -175,3 +175,19 @@ def test_trace_prints_events():
 def test_batch_yields_print_like_answers():
     r = run_cli("--goal", "loop(41)", "--limit", "1")
     assert r.stdout.strip() == "41"
+
+
+def test_trace_prints_an_integer_past_the_hosts_digit_limit(tmp_path):
+    f = tmp_path / "pw.pl"
+    f.write_text("pw(0,1). pw(N,X):-N>0,N1 is N-1,pw(N1,Y),X is Y*10.\n")
+    r = run_cli("--trace", "--consult", str(f), "--goal", "pw(5000,X)")
+    assert r.returncode == 0
+    assert r.stdout.strip() == "X=1" + "0" * 5000
+    assert "1" + "0" * 5000 in r.stderr  # the traced answer event
+
+
+def test_batch_hub_timeout_past_the_hosts_limit_answers_no():
+    r = run_cli("--goal", "hub_ms(100000000000000000,H), collect(H,X)")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert [line.split(":")[1].strip() for line in r.stderr.splitlines()] == ["type_error"]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from hornlog import (
@@ -11,13 +13,20 @@ from hornlog import (
     MachineFault,
     Machine,
     Session,
+    Struct,
     Var,
     Yielded,
+    deref,
     eval_arith,
+    make_list,
     parse_term,
     variant,
     write_term,
 )
+from hornlog.machine import ClausePred
+from hornlog.terms import list_parts
+
+from conftest import answers_str
 
 
 def machine(base: Session, pattern, goal) -> Machine:
@@ -623,3 +632,102 @@ def test_metacalls_of_undefined_predicates_never_grow_the_table():
         assert s.answers("X", f"call(undefined_{i},X)") == []
     assert len(lines) == 50
     assert len(s.db._preds) == size
+
+
+# -- calls of a predicate's own record run in place ------------------------------
+
+
+@pytest.fixture
+def entry_calls(monkeypatch):
+    """Calls of each clause predicate's entry made by the run loop, by name;
+    a call run in place inside an entry is not one of them."""
+    calls = Counter()
+    fn = ClausePred.fn
+
+    def counted(self, m, args, rest):
+        calls[self.key[0].name] += 1
+        return fn(self, m, args, rest)
+
+    monkeypatch.setattr(ClausePred, "fn", counted)
+    return calls
+
+
+def test_app_over_a_long_list_is_one_entry_call_and_leaves_nothing(entry_calls):
+    n = 200_000
+    s = Session(text=NREV, prelude=False)
+    out = Var()
+    goal = Struct("app", (make_list([Int(i) for i in range(n)]), make_list([Atom("z")]), out))
+    m = Machine(s, s.db, out, goal)
+    ev = m.resume()
+    assert type(ev) is AnswerReady
+    items, tail = list_parts(ev.value)
+    assert len(items) == n + 1 and tail is Atom("[]")
+    assert deref(items[0]).value == 0 and deref(items[n - 1]).value == n - 1 and deref(items[n]) is Atom("z")
+    assert len(m.cps) == 0
+    assert len(m.trail.entries) == 0
+    assert entry_calls == {"app": 1}
+    assert m.resume() is EXHAUSTED
+
+
+def test_nrev_runs_its_first_body_goal_in_place(entry_calls):
+    s = Session(text=NREV, prelude=False)
+    items = ",".join(map(str, range(30)))
+    assert write_term(s.first("R", f"nrev([{items}],R)")) == f"[{','.join(map(str, range(29, -1, -1)))}]"
+    # one entry call runs every nrev/2 call; each app/3 goal a level pushed
+    # is reached from the run loop, since a fact hands back its caller's chain
+    assert entry_calls == {"nrev": 1, "app": 30}
+
+
+LOOPED = """
+k(z,R):-member(R,[1,2,3]),R>1,!.
+k(s(N),R):-k(N,R).
+k2(z,R):-member(R,[1,2,3]).
+k2(s(N),R):-k2(N,R),R>1,!.
+d(z,a).
+d(z,b).
+d(s(N),X):-d(N,X).
+c(z,X):-!,X=one.
+c(z,two).
+c(s(N),X):-c(N,X).
+e(z,X):-member(X,[a,b]).
+e(s(N),X):-e(N,Y),Y\\==a,X=Y.
+f(z,R):-R is foo+1.
+f(s(N),R):-f(N,R).
+g(z):-nope(1).
+g(s(N)):-g(N).
+"""
+
+
+@pytest.mark.parametrize(
+    "name, goal, expected",
+    [
+        # the answers the run loop gave before calls ran in place
+        ("k", "k(s(s(z)),R)", ["2"]),
+        ("k", "(member(A,[p,q]),k(s(s(z)),R))", ["p-2", "q-2"]),
+        ("k2", "(member(A,[p,q]),k2(s(s(z)),R))", ["p-2", "q-2"]),
+        ("d", "d(s(s(z)),R)", ["a", "b"]),
+        ("d", "(member(A,[p,q]),d(s(s(s(z))),R))", ["p-a", "p-b", "q-a", "q-b"]),
+        ("c", "c(s(s(z)),R)", ["one"]),
+        ("c", "(member(A,[p,q]),c(s(z),R))", ["p-one", "q-one"]),
+        ("e", "e(s(s(z)),R)", ["b"]),
+    ],
+)
+def test_a_cut_reached_in_place_cuts_to_its_own_calls_barrier(name, goal, expected, entry_calls):
+    s = Session(text=LOOPED)
+    assert answers_str(s, "A-R" if "A" in goal else "R", goal) == expected
+    # the goal's calls of name/2 ran inside one entry call per answer of
+    # member/2 before it, or one in all
+    assert entry_calls[name] == (2 if "member(A" in goal else 1)
+
+
+@pytest.mark.parametrize(
+    "goal, line",
+    [
+        ("f(s(s(z)),R)", "engine 1: type_error: foo"),
+        ("g(s(s(z)))", "engine 1: unknown_predicate: nope/1"),
+    ],
+)
+def test_a_fault_inside_a_looped_call_reads_as_before(goal, line):
+    s, lines = _errors(LOOPED)
+    assert s.answers("R", goal) == []
+    assert lines == [line]

@@ -31,6 +31,13 @@ def test_atom_interning_is_injective():
     assert Struct(Atom("foo"), (Int(1),)).functor is Atom("foo")
 
 
+def test_repr_of_an_integer_past_the_hosts_digit_limit():
+    v = 10**5000 + 7
+    assert repr(Int(v)) == "1" + "0" * 4999 + "7"
+    assert repr(Int(-v)) == "-" + repr(Int(v))
+    assert repr(Struct("f", (Int(v),))) == f"f({repr(Int(v))})"
+
+
 def test_unify_matching_compounds():
     x, y = Var(), Var()
     t = Trail()
@@ -207,3 +214,62 @@ def test_copy_of_a_deep_compound_has_no_recursion(bottom):
         depth += 1
     assert depth == n
     assert (c is leaf) == (bottom is not None)
+
+
+# -- unify: binding direction, pair order, trailing and the undo ------------------
+
+
+def test_failed_unify_restores_every_binding_and_the_trail_length():
+    t = Trail()
+    old = Var()
+    assert unify(old, Atom("kept"), t)  # an entry from before the call stays
+    x, y, z, w = Var(), Var(), Var(), Var()
+    # the pairs are taken from the last argument back, so every binding
+    # below is made before the first arguments clash
+    a = Struct("f", (Atom("a"), Struct("g", (x, Int(1))), y, make_list([z, w])))
+    b = Struct("f", (Atom("b"), Struct("g", (Int(7), Int(1))), Atom("q"), make_list([Int(2), Int(3)])))
+    assert not unify(a, b, t)
+    assert all(v.ref is None for v in (x, y, z, w))
+    assert t.entries == [old] and deref(old) is Atom("kept")
+    # an integer or arity clash after bindings rolls back the same way
+    assert not unify(Struct("h", (Int(1), x)), Struct("h", (Int(2), y)), t)
+    assert not unify(Struct("h", (Struct("k", (y,)), x)), Struct("h", (Struct("k", (y, y)), z)), t)
+    assert all(v.ref is None for v in (x, y, z, w)) and t.entries == [old]
+
+
+def test_unify_binds_the_younger_variable_to_the_older():
+    t = Trail()
+    older, younger = Var(), Var()
+    assert unify(older, younger, t)
+    assert younger.ref is older and older.ref is None
+    older, younger = Var(), Var()
+    assert unify(younger, older, t)
+    assert younger.ref is older and older.ref is None
+    # a variable meeting a non-variable is bound on either side
+    v = Var()
+    assert unify(Int(3), v, t) and deref(v).value == 3
+
+
+def test_unify_trails_only_variables_older_than_the_boundary():
+    from hornlog.terms import next_stamp
+
+    older = Var()
+    t = Trail()
+    t.boundary = next_stamp()
+    younger = Var()
+    assert unify(Struct("p", (older, younger)), Struct("p", (Atom("a"), Atom("b"))), t)
+    assert t.entries == [older]
+
+
+@pytest.mark.parametrize("right_leaf, unifies", [(Atom("a"), True), (Atom("b"), False)])
+def test_unify_of_two_deep_terms_has_no_recursion(right_leaf, unifies):
+    n = 200_000
+    x = Var()
+    left, right = Struct("g", (x, Atom("a"))), Struct("g", (Atom("a"), right_leaf))
+    for _ in range(n):
+        left = Struct("f", (left,))
+        right = Struct("f", (right,))
+    t = Trail()
+    assert unify(left, right, t) is unifies
+    assert (deref(x) is Atom("a")) is unifies
+    assert len(t.entries) == (1 if unifies else 0)

@@ -338,3 +338,42 @@ def test_hub_term_collected_on_another_thread_shares_no_var(base):
     assert variant(got[0], sent)
     assert not (vars_below(got[0]) & vars_below(sent))
     assert got[0].args[2] is sent.args[2]  # variable-free: shared, not copied
+
+
+def _answers_within(s, pattern, goal, seconds=10):
+    """s.answers(pattern, goal) run on a thread that must end in time."""
+    got = []
+    t = threading.Thread(target=lambda: got.append(s.answers(pattern, goal)), daemon=True)
+    t.start()
+    t.join(timeout=seconds)
+    assert not t.is_alive()
+    assert got, "answers raised"
+    return got[0]
+
+
+PAST = int(threading.TIMEOUT_MAX * 1000) + 1  # ms: just past the longest wait
+
+
+@pytest.mark.parametrize(
+    "goal",
+    [
+        "sleep_ms(100000000000000000000)",
+        f"sleep_ms({PAST})",
+        "(hub_ms(100000000000000000,H),collect(H,X))",
+        f"(hub_ms({PAST},H),collect(H,X))",
+        f"(hub_ms({PAST * 10**30},H),collect(H,X))",
+    ],
+)
+def test_a_wait_past_the_hosts_limit_is_a_type_error(goal):
+    lines = []
+    s = Session(on_error=lines.append)
+    assert _answers_within(s, "ok", goal) == []
+    assert len(lines) == 1 and "type_error" in lines[0]
+
+
+def test_the_longest_wait_the_host_allows_is_accepted(base):
+    longest = PAST - 1
+    assert answers_str(base, "ok", f"(hub_ms({longest},H),put(H,x),collect(H,X))") == ["ok"]
+    with pytest.raises(ValueError):
+        base.hub(longest + 1)
+    assert base.hub(longest) is not None
