@@ -37,14 +37,21 @@ NO = _No()
 class Handle:
     """An entry of a session's handle table as the host sees it: its id
     (0 until a session enters it), drawn from the one sequence engines,
-    hubs and threads share, and the object-language term FUNCTOR(Id)."""
+    hubs and threads share, and the object-language term FUNCTOR(Id).
 
-    __slots__ = ("id",)
+    The table refers to its objects weakly, so an object lives only while
+    something reaches it: a host handle, or a handle term, whose Int holds
+    the handle as its owner. A handle read back from text holds nothing and
+    resolves only while its object is alive."""
+
+    __slots__ = ("id", "__weakref__")
     FUNCTOR: Atom
 
     @property
     def term(self) -> Struct:
-        return Struct(self.FUNCTOR, (Int(self.id),))
+        i = Int(self.id)
+        i.owner = self
+        return Struct(self.FUNCTOR, (i,))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.id})"
@@ -61,18 +68,26 @@ def handle_id(t, kind: type[Handle]) -> int:
 
 
 class EngineRef(Handle):
-    """Per-boot handle for one engine; the table holds its Machine."""
+    """Per-boot handle for one engine. It holds the engine's Machine, which
+    lives while this handle, or a term made by its `term`, is reachable."""
 
-    __slots__ = ("session",)
+    __slots__ = ("session", "machine")
     FUNCTOR = Atom("$engine")
 
-    def __init__(self, eid: int, session):
-        self.id = eid
-        self.session = session
+    def __init__(self, machine):
+        self.id = machine.id
+        self.session = machine.session
+        self.machine = machine
 
     def get(self):
-        """Next answer: The(term) or NO; NO forever once produced."""
-        return self.session.get_by_id(self.id)
+        """Next answer: The(term) or NO; NO forever once produced. Each
+        handle in an answer is pinned until its engine's stop, so it still
+        resolves when the host writes it and reads it back."""
+        session = self.session
+        ans = session.get_by_id(self.id)
+        if ans is not NO and session.last_id > self.id:  # it may hold a newer handle
+            session.pin(ans.value)
+        return ans
 
     def stop(self):
         self.session.stop_id(self.id)

@@ -734,6 +734,7 @@ class Machine:
         "dead",
         "running",
         "id",
+        "__weakref__",  # the session's handle table refers to it weakly
     )
 
     def __init__(self, session, db: Database, pattern, goal):
@@ -793,6 +794,7 @@ class Machine:
         self.cps.clear()
         self.trail.entries.clear()
         self.mailbox = None
+        self.pattern = None
 
     # -- resolution ----------------------------------------------------------
 

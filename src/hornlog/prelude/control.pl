@@ -16,11 +16,11 @@ backtrack_over_then(_,Engine,Cond,Then):-
   backtrack_over_then(NewBoundCond,Engine,Cond,Then).
 
 % First-solution if-then-else: Cond gets one shot, its bindings propagate.
+% Its engine is freed as soon as nothing reaches it, like every engine.
 
 if(Cond,Then,Else):-
   new_engine(Cond,Cond,Engine),
   get(Engine,Answer),
-  stop(Engine),
   select_if(Answer,Cond,Then,Else).
 
 select_if(no,_Cond,_Then,Else):-Else.
@@ -48,11 +48,10 @@ catch(Goal,Exception,OnException):-
 
 catch_cont(the(A),Engine,Goal,Exception,OnException):-
   if((nonvar(A),A=exception(E)),
-    catch_handle(E,Engine,Exception,OnException),
+    catch_handle(E,Exception,OnException),
     catch_forward(A,Engine,Goal,Exception,OnException)).
 
-catch_handle(E,Engine,Exception,OnException):-
-  stop(Engine),
+catch_handle(E,Exception,OnException):-
   if(E=Exception,OnException,throw(E)).
 
 catch_forward(Goal,_Engine,Goal,_Exception,_OnException).

@@ -8,15 +8,15 @@ diagnostics on the error channel and the offending engine answers NO.
 
 from __future__ import annotations
 
-import itertools
 import sys
 import threading
+import weakref
 from importlib import resources
 
-from .engines import NO, EngineRef, The
+from .engines import NO, EngineRef, Handle, The
 from .machine import EXHAUSTED, Database, Machine, MachineError
 from .reader import parse_program, parse_term
-from .terms import Atom, Struct, Var, deref
+from .terms import Atom, Int, Struct, Var, deref
 from .threads import Hub, ThreadRef
 from .writer import write_term
 
@@ -43,12 +43,13 @@ class Session:
         self.on_event = on_event
         self.error_count = 0
         self._lock = threading.Lock()
-        # one id sequence and one table for engines (as their Machine),
-        # hubs and threads; _live counts the entries of each kind. _thread
-        # holds each thread's own ThreadRef and dies with its thread.
-        self._ids = itertools.count(1)
-        self._handles: dict[int, Machine | Hub | ThreadRef] = {}
-        self._live = dict.fromkeys((Machine, Hub, ThreadRef), 0)
+        # one id sequence and one weak table for engines (as their Machine),
+        # hubs and threads: an entry lives while its object is reachable.
+        # _pins keeps the handles answered to the host until their engine's
+        # stop. _thread holds each thread's own ThreadRef.
+        self.last_id = 0
+        self._handles: dict[int, weakref.ref] = {}
+        self._pins: dict[int, Handle] = {}
         self._thread = threading.local()
         if prelude:
             for name, src in prelude_sources():
@@ -83,8 +84,7 @@ class Session:
         return self.spawn(pattern, goal)
 
     def spawn(self, pattern, goal) -> EngineRef:
-        machine = self._add(Machine(self, self.db, pattern, goal))
-        return EngineRef(machine.id, self)
+        return EngineRef(self._add(Machine(self, self.db, pattern, goal)))
 
     def get_by_id(self, eid: int):
         machine = self.lookup(eid, Machine)
@@ -95,10 +95,7 @@ class Session:
             return NO
         # resume is called straight from here: a nested get adds no other
         # host frame per level
-        ans = self._outcome(machine, machine.resume())
-        if ans is NO:
-            self.stop_id(eid)  # exhausted or failed: release promptly
-        return ans
+        return self._outcome(machine, machine.resume())
 
     def _outcome(self, machine: Machine, ev):
         """What a client gets for the event machine's resume returned: The
@@ -114,9 +111,11 @@ class Session:
         return The(ev.value)
 
     def stop_id(self, eid: int) -> None:
-        machine = self._remove(eid, Machine)
+        """Kill the engine and unpin it; while reachable it answers NO."""
+        machine = self.lookup(eid, Machine)
         if machine is not None:
             machine.kill()
+            self._pins.pop(eid, None)
 
     def to_id(self, eid: int, data) -> bool:
         machine = self.lookup(eid, Machine)
@@ -125,33 +124,35 @@ class Session:
         return machine.deposit(data)
 
     def engine_count(self) -> int:
-        return self._live[Machine]
+        """The engines still reachable that are not dead."""
+        return sum(type(m := r()) is Machine and not m.dead for r in list(self._handles.values()))
 
     # -- the handle table ------------------------------------------------------
 
     def _add(self, obj):
-        """Enter obj under a fresh id, which becomes obj.id; returns obj."""
+        """Enter obj under a fresh id, which becomes obj.id; returns obj. The
+        entry leaves the table when obj is freed."""
+        handles = self._handles
         with self._lock:
-            obj.id = next(self._ids)
-            self._handles[obj.id] = obj
-            self._live[type(obj)] += 1
+            obj.id = hid = self.last_id = self.last_id + 1
+        handles[hid] = weakref.ref(obj, lambda _, hid=hid: handles.pop(hid, None))
         return obj
 
     def lookup(self, hid: int, kind: type):
         """The entry with id hid if it is a kind (Machine, Hub or ThreadRef), else None."""
-        obj = self._handles.get(hid)
+        ref = self._handles.get(hid)
+        obj = None if ref is None else ref()
         return obj if type(obj) is kind else None
 
-    def _remove(self, hid: int, kind: type):
-        """Take the entry with id hid out of the table if it is a kind."""
-        obj = self.lookup(hid, kind)
-        if obj is None:
-            return None
-        with self._lock:
-            if self._handles.pop(hid, None) is None:
-                return None  # another thread took it first
-            self._live[kind] -= 1
-        return obj
+    def pin(self, t) -> None:
+        """Keep each handle in the answer t (a copy: no bound Var) until its engine's stop."""
+        todo = [t]
+        while todo:
+            x = todo.pop()
+            if type(x) is Struct:
+                todo.extend(x.args)
+            elif type(x) is Int and hasattr(x, "owner"):
+                self._pins[x.owner.id] = x.owner
 
     # -- hubs and threads ------------------------------------------------------
 
@@ -168,23 +169,12 @@ class Session:
         Fails on a running engine, such as one given its own handle, whose
         resume is still on a host stack."""
         machine = self.lookup(eid, Machine)
-        if machine is None or machine.running:
+        if machine is None or machine.running or machine.dead:
             return None
-        machine = self._remove(eid, Machine)
-        if machine is None or machine.dead:
-            return None
-        return self._launch(machine)
+        if self._handles.pop(eid, None) is None:
+            return None  # another thread moved it first
+        self._pins.pop(eid, None)
 
-    def bg(self, goal) -> ThreadRef:
-        """Run a goal to exhaustion on a fresh engine and thread."""
-        if isinstance(goal, str):
-            goal = parse_term(goal)
-        machine = Machine(self, self.db, Var(), goal)
-        with self._lock:
-            machine.id = next(self._ids)  # named in diagnostics, never looked up
-        return self._launch(machine)
-
-    def _launch(self, machine: Machine) -> ThreadRef:
         def drive():
             self._thread.ref = tref
             while self._outcome(machine, machine.resume()) is not NO:
@@ -194,6 +184,13 @@ class Session:
         tref = self._add(ThreadRef(threading.Thread(target=drive, daemon=True)))
         tref.thread.start()
         return tref
+
+    def bg(self, goal) -> ThreadRef:
+        """Run a goal to exhaustion on a fresh engine and thread."""
+        if isinstance(goal, str):
+            goal = parse_term(goal)
+        machine = self._add(Machine(self, self.db, Var(), goal))
+        return self.run_bg_id(machine.id)
 
     def current_thread(self) -> ThreadRef:
         """The calling thread's record, made on first use."""

@@ -56,9 +56,11 @@ class Atom:
 
 
 class Int:
-    """A signed integer constant."""
+    """A signed integer constant. The id in a handle term also holds its
+    handle as `owner` (unset on every other Int), so the term keeps the
+    handle's object alive."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "owner")
 
     def __init__(self, value: int):
         self.value = value
