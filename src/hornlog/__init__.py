@@ -22,7 +22,6 @@ from .machine import (
     Exhausted,
     Machine,
     MachineError,
-    MachineFault,
     Yielded,
     eval_arith,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "Machine",
     "Database",
     "MachineError",
-    "MachineFault",
     "AnswerReady",
     "Yielded",
     "Exhausted",

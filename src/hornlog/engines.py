@@ -8,7 +8,7 @@ and machine faults are reported on the session's diagnostic channel.
 
 from __future__ import annotations
 
-from .machine import EXHAUSTED, MachineFault, builtin
+from .machine import EXHAUSTED, MachineError, builtin
 from .terms import Atom, Int, Struct, deref, unify
 
 
@@ -64,36 +64,35 @@ def handle_id(t, kind: type[Handle]) -> int:
         i = deref(t.args[0])
         if type(i) is Int:
             return i.value
-    raise MachineFault("type_error", t)
+    raise MachineError("type_error", t)
 
 
 class EngineRef(Handle):
     """Per-boot handle for one engine. It holds the engine's Machine, which
     lives while this handle, or a term made by its `term`, is reachable."""
 
-    __slots__ = ("session", "machine")
+    __slots__ = ("machine",)
     FUNCTOR = Atom("$engine")
 
     def __init__(self, machine):
         self.id = machine.id
-        self.session = machine.session
         self.machine = machine
 
     def get(self):
         """Next answer: The(term) or NO; NO forever once produced. Each
         handle in an answer is pinned until its engine's stop, so it still
         resolves when the host writes it and reads it back."""
-        session = self.session
+        session = self.machine.session
         ans = session.get_by_id(self.id)
         if ans is not NO and session.last_id > self.id:  # it may hold a newer handle
             session.pin(ans.value)
         return ans
 
     def stop(self):
-        self.session.stop_id(self.id)
+        self.machine.session.stop_id(self.id)
 
     def to_engine(self, data) -> bool:
-        return self.session.to_id(self.id, data)
+        return self.machine.session.to_id(self.id, data)
 
 
 @builtin("new_engine", 3)

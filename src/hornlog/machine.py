@@ -29,8 +29,13 @@ with the goal's arguments, with a test specialised to each head node, and
 returns the goal chain with the body pushed. It is generated the first
 time the clause is tried, so loading a program compiles nothing and a
 clause never called costs nothing. Its source names every term and record
-as a closure value, so compiling it is kept for the process: another
-session over the same program compiles nothing.
+as a closure value, so what it compiles to is kept for the process in a
+least-recently-used cache of 512 sources: another session over the same
+program compiles nothing.
+
+A fault is one MachineError: a builtin raises it, and resume kills the
+machine and returns the same instance as its event. A machine's mailbox,
+the copies deposited for from_engine, is made with the machine.
 
 Bindings are trailed conditionally: a variable younger than the newest
 choice point would die with the backtrack anyway, so it is not recorded.
@@ -41,8 +46,8 @@ server loops memory-flat.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from collections import deque
 
 from .terms import (
@@ -98,26 +103,19 @@ class Exhausted:
 EXHAUSTED = Exhausted()
 
 
-class MachineError:
-    """A runtime fault; the machine that produced it is dead."""
-
-    __slots__ = ("kind", "culprit")
-
-    def __init__(self, kind, culprit):
-        self.kind = kind
-        self.culprit = culprit
-
-    def __repr__(self):
-        return f"MachineError({self.kind}, {self.culprit!r})"
-
-
-class MachineFault(Exception):
-    """Internal signal raised by builtins; normalized to a MachineError event."""
+class MachineError(Exception):
+    """A runtime fault: what went wrong (kind) and the term at fault
+    (culprit). A builtin raises it; resume kills the machine and returns
+    the same instance as the fault event, without its traceback, so the
+    event keeps no frame of the run alive."""
 
     def __init__(self, kind, culprit):
         super().__init__(kind)
         self.kind = kind
         self.culprit = culprit
+
+    def __repr__(self):
+        return f"MachineError({self.kind}, {self.culprit!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -164,35 +162,25 @@ class Clause:
 
     def compile(self):
         """Generate run, keep it, and return it. The source is compiled
-        once per process: a clause of another session with the same code
-        name and source reuses its make. Threads that race here each keep
-        an equivalent function; the last one stays."""
+        once per process while it stays in the cache: a clause of another
+        session with the same code name and source reuses its make. Threads
+        that race here each keep an equivalent function; the last one stays."""
         text, values = self.source()
         name, arity = self.key
         where = "" if self.origin is None else " at {}:{}".format(*self.origin)
-        key = (f"<{name.name}/{arity}{where}>", text)
-        make = _makes.get(key)
-        if make is None:
-            code = compile(text, key[0], "exec", dont_inherit=True)
-            ns: dict = {}
-            exec(code, globals(), ns)  # unify and the rest are read from this module
-            make = ns["make"]
-            if len(_makes) >= _MAKES_MAX:
-                # drop the oldest, as re's cache does; another thread may
-                # be adding or dropping one at the same time
-                try:
-                    del _makes[next(iter(_makes))]
-                except (StopIteration, RuntimeError, KeyError):
-                    pass
-            _makes[key] = make
-        self.run = run = make(*values)
+        self.run = run = _make(f"<{name.name}/{arity}{where}>", text)(*values)
         return run
 
 
-# (code name, source) -> the make function it compiles to: code only, no
-# term, record or session, so a dropped session is freed as before
-_MAKES_MAX = 512
-_makes: dict[tuple[str, str], object] = {}
+@functools.lru_cache(maxsize=512)
+def _make(name: str, text: str):
+    """The make function that source text compiles to under code name
+    name: code only, no term, record or session, so a dropped session is
+    freed as before."""
+    ns: dict = {}
+    # unify and the rest are read from this module
+    exec(compile(text, name, "exec", dont_inherit=True), globals(), ns)
+    return ns["make"]
 
 
 new = object.__new__  # generated code makes a Struct without running __init__
@@ -543,7 +531,7 @@ class UnknownPred(Pred):
 
     def fn(self, m, args, rest):
         name, arity = self.key
-        raise MachineFault("unknown_predicate", Struct("/", (name, Int(arity))))
+        raise MachineError("unknown_predicate", Struct("/", (name, Int(arity))))
 
 
 class Database:
@@ -618,9 +606,9 @@ class Database:
             args = extra
             key = (t, len(args))
         elif tt is Var:
-            raise MachineFault("instantiation_error", t)
+            raise MachineError("instantiation_error", t)
         else:
-            raise MachineFault("type_error", t)
+            raise MachineError("type_error", t)
         p = self._preds.get(key)
         if p is None:
             p = Pred(key, BUILTINS.get(key))
@@ -713,9 +701,6 @@ class BetweenCP:
 # ---------------------------------------------------------------------------
 # the machine
 
-_mailbox_lock = threading.Lock()
-
-
 class Machine:
     """One suspendable resolution engine over a shared database.
 
@@ -737,12 +722,12 @@ class Machine:
         "__weakref__",  # the session's handle table refers to it weakly
     )
 
-    def __init__(self, session, db: Database, pattern, goal):
+    def __init__(self, session, pattern, goal):
         g = deref(goal)
         if type(g) not in (Atom, Struct):
-            raise MachineFault("type_error", g)
+            raise MachineError("type_error", g)
         self.session = session
-        self.db = db
+        self.db = db = session.db  # read on the hot path
         self.trail = Trail()
         self.trail.boundary = 0  # no choice points yet: trail nothing
         if goal is pattern:  # new_engine(G,G,E), as if/3 and catch/3 boot
@@ -753,7 +738,7 @@ class Machine:
             g = copy_term(g, vmap)
         self.goals = (db.resolve(g), _ANSWER)
         self.cps: list = []
-        self.mailbox: deque | None = None  # made by the first deposit
+        self.mailbox = deque()
         self.dead = False
         self.running = False
         self.id = 0
@@ -761,39 +746,35 @@ class Machine:
     # -- client operations ---------------------------------------------------
 
     def resume(self):
-        """Run until the next event. Total: a dead machine reports Exhausted."""
+        """Run until the next event. Total: a dead machine reports Exhausted,
+        and a fault kills the machine and is returned as its event."""
         if self.dead:
             return EXHAUSTED
         self.running = True
         try:
             return self._run()
-        except MachineFault as f:
+        except MachineError as fault:
             self.kill()
-            return MachineError(f.kind, f.culprit)
+            return fault.with_traceback(None)
         finally:
             self.running = False
 
     def deposit(self, t) -> bool:
-        """Queue a copy of t for from_engine. Reports failure on a dead machine."""
+        """Queue a copy of t for from_engine; one append, so threads may
+        deposit at once. Reports failure on a dead machine."""
         if self.dead:
             return False
-        item = copy_term(t)
-        mailbox = self.mailbox
-        if mailbox is None:
-            with _mailbox_lock:  # two threads may deposit first at once
-                mailbox = self.mailbox
-                if mailbox is None:
-                    mailbox = self.mailbox = deque()
-        mailbox.append(item)
+        self.mailbox.append(copy_term(t))
         return True
 
     def kill(self):
-        """Release all state; idempotent. Any later resume reports Exhausted."""
+        """Release all state, the mailbox's copies too; idempotent. Any
+        later resume reports Exhausted and any deposit fails."""
         self.dead = True
         self.goals = None
         self.cps.clear()
         self.trail.entries.clear()
-        self.mailbox = None
+        self.mailbox.clear()
         self.pattern = None
 
     # -- resolution ----------------------------------------------------------
@@ -808,7 +789,8 @@ class Machine:
                 self.goals = rest
             elif res is False:
                 if not self._backtrack():
-                    return self._exhaust()
+                    self.kill()
+                    return EXHAUSTED
             else:  # an event
                 return res
 
@@ -845,10 +827,6 @@ class Machine:
         stamp = trail.boundary = cps[-1].stamp
         if len(entries) > mark:
             entries[mark:] = [v for v in entries[mark:] if v.serial < stamp]
-
-    def _exhaust(self):
-        self.kill()
-        return EXHAUSTED
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +873,7 @@ def _eval_stack(t) -> int:
             else:  # integer(sqrt(N))
                 n = values.pop()
                 if n < 0:
-                    raise MachineFault("arith_error", t)
+                    raise MachineError("arith_error", t)
                 values.append(math.isqrt(n))
             continue
         t = deref(t)
@@ -904,7 +882,7 @@ def _eval_stack(t) -> int:
             values.append(t.value)
             continue
         if tt is Var:
-            raise MachineFault("instantiation_error", t)
+            raise MachineError("instantiation_error", t)
         if tt is Struct:
             name = t.name
             args = t.args
@@ -925,7 +903,7 @@ def _eval_stack(t) -> int:
                 else:
                     work.append((inner, False))
                 continue
-        raise MachineFault("type_error", t)
+        raise MachineError("type_error", t)
     return values[0]
 
 
@@ -939,14 +917,14 @@ def _binary(t, a: int, b: int) -> int:
         return a * b
     if name == "/":
         if b == 0:
-            raise MachineFault("arith_error", t)
+            raise MachineError("arith_error", t)
         q = abs(a) // abs(b)
         return q if (a < 0) == (b < 0) else -q
     if name == "mod":
         if b == 0:
-            raise MachineFault("arith_error", t)
+            raise MachineError("arith_error", t)
         return a % b
-    raise MachineFault("type_error", t)
+    raise MachineError("type_error", t)
 
 
 def _int_arg(t) -> int:
@@ -954,8 +932,8 @@ def _int_arg(t) -> int:
     if type(t) is Int:
         return t.value
     if type(t) is Var:
-        raise MachineFault("instantiation_error", t)
-    raise MachineFault("type_error", t)
+        raise MachineError("instantiation_error", t)
+    raise MachineError("type_error", t)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,7 +1057,7 @@ def _bi_between(m, args, rest):
     if type(x) is Int:
         return lo <= x.value <= hi
     if type(x) is not Var:
-        raise MachineFault("type_error", x)
+        raise MachineError("type_error", x)
     if lo > hi:
         return False
     if lo < hi:
@@ -1097,5 +1075,5 @@ def _bi_return(m, args, rest):
 @builtin("from_engine", 1)
 def _bi_from_engine(m, args, rest):
     if not m.mailbox:
-        raise MachineFault("mailbox_empty", Struct("from_engine", args))
+        raise MachineError("mailbox_empty", Struct("from_engine", args))
     return unify(args[0], m.mailbox.popleft(), m.trail)

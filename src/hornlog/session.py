@@ -84,7 +84,7 @@ class Session:
         return self.spawn(pattern, goal)
 
     def spawn(self, pattern, goal) -> EngineRef:
-        return EngineRef(self._add(Machine(self, self.db, pattern, goal)))
+        return EngineRef(self._add(Machine(self, pattern, goal)))
 
     def get_by_id(self, eid: int):
         machine = self.lookup(eid, Machine)
@@ -189,7 +189,7 @@ class Session:
         """Run a goal to exhaustion on a fresh engine and thread."""
         if isinstance(goal, str):
             goal = parse_term(goal)
-        machine = self._add(Machine(self, self.db, Var(), goal))
+        machine = self._add(Machine(self, Var(), goal))
         return self.run_bg_id(machine.id)
 
     def current_thread(self) -> ThreadRef:

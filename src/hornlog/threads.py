@@ -16,7 +16,7 @@ import queue
 import threading
 
 from .engines import EngineRef, Handle, handle_id
-from .machine import MachineFault, builtin, _int_arg
+from .machine import MachineError, builtin, _int_arg
 from .terms import Atom, copy_term, deref, unify
 
 
@@ -55,7 +55,7 @@ class ThreadRef(Handle):
 
     def join(self):
         if self.thread is threading.current_thread():
-            raise MachineFault("type_error", self.term)
+            raise MachineError("type_error", self.term)
         self.thread.join()
 
 
@@ -64,7 +64,7 @@ def _ms_arg(t) -> int:
     threading.TIMEOUT_MAX seconds; any other integer is a type error."""
     ms = _int_arg(t)
     if not 0 <= ms <= threading.TIMEOUT_MAX * 1000:
-        raise MachineFault("type_error", deref(t))
+        raise MachineError("type_error", deref(t))
     return ms
 
 

@@ -68,15 +68,31 @@ def test_a_dropped_session_is_collected():
     assert ref() is None
 
 
-def test_the_cache_stays_within_its_bound_and_holds_only_code():
-    bound = machine._MAKES_MAX
-    for i in range(bound + 20):
+def test_the_cache_stays_within_its_bound_and_holds_only_code(monkeypatch):
+    bound = machine._make.cache_parameters()["maxsize"]
+
+    def run(i):
         s = Session(text=f"bounded_{i}(X):-X={i}.\n", prelude=False)
         assert s.first("X", f"bounded_{i}(X)").value == i
-        assert len(machine._makes) <= bound
-    # the oldest went first
-    assert not any(name == "<bounded_0/1 at <text>:1>" for name, _ in machine._makes)
-    assert any(name == f"<bounded_{bound + 19}/1 at <text>:1>" for name, _ in machine._makes)
-    for (name, text), make in machine._makes.items():
-        assert type(name) is str and type(text) is str
-        assert make.__closure__ is None and make.__globals__ is vars(machine)
+        return s
+
+    for i in range(bound + 20):
+        run(i)
+        assert machine._make.cache_info().currsize <= bound
+    # bounded_20 is now the least recently used source; use it again, so a
+    # new source drops bounded_21 instead
+    run(20)
+    run(bound + 20)
+    assert machine._make.cache_info().currsize == bound
+    names = counted_compiles(monkeypatch)
+    run(bound + 20)
+    run(20)
+    assert names == []
+    s = run(21)
+    assert names == ["<bounded_21/1 at <text>:1>"]
+    # a make is code and this module's globals; the terms and records come
+    # in as its arguments and live in the closure of the run it returns
+    cl = s.db.pred((Atom("bounded_21"), 1)).clauses[0]
+    make = machine._make(names[0], cl.source()[0])
+    assert make.__closure__ is None and make.__globals__ is vars(machine)
+    assert cl.run.__code__ in make.__code__.co_consts

@@ -8,13 +8,13 @@ REPO = Path(__file__).resolve().parent.parent
 ENV_SRC = str(REPO / "src")
 
 
-def run_cli(*args, stdin: str | None = None):
+def run_cli(*args, stdin: str | None = None, timeout: float = 60):
     return subprocess.run(
         [sys.executable, "-m", "hornlog.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
         env={"PYTHONPATH": ENV_SRC, "PATH": "/usr/bin:/bin"},
     )
 
@@ -39,6 +39,22 @@ def test_batch_count_partitions():
     r = run_cli("--goal", "count_partitions(10,R)")
     assert r.returncode == 0
     assert norm(r.stdout) == "R=42"
+
+
+def test_batch_length_with_a_bound_length_answers_once():
+    # with the length bound, length/2 answers once, so each goal ends
+    r = run_cli("--goal", "length(L,2)", timeout=10)
+    assert r.returncode == 0
+    assert norm(r.stdout).count("L=") == 1 and norm(r.stdout).startswith("L=[_G")
+    goal = (
+        "findall(L,length(L,1),A),findall(T,length([a|T],2),B),"
+        "findall(x,length(_,-1),C),findall(N,length([a,b],N),D),findall(x,length([a],2),E)"
+    )
+    r = run_cli("--goal", f"{goal},A=[[_]],B=[[_]],C=[],D=[2],E=[]", timeout=10)
+    assert r.returncode == 0 and norm(r.stdout).count("A=") == 1
+    # with neither bound it still enumerates
+    r = run_cli("--limit", "3", "--goal", "length(L,N),length(L,M),M=N", timeout=10)
+    assert r.returncode == 0 and norm(r.stdout).count("L=") == 3
 
 
 def test_batch_fail_exit_code():

@@ -185,11 +185,11 @@ def test_binding_an_answer_leaves_the_next_answer_unaffected(base):
 
 
 def test_concurrent_first_deposits_all_arrive_in_order():
-    # the mailbox is made by the first deposit, which both threads race to
+    # two threads deposit at once: each one's items arrive in its order
     n = 1000
     s = Session(text="drain:-from_engine(X),return(X),drain.")
     e = s.new_engine("X", "drain")
-    assert s.lookup(e.id, Machine).mailbox is None
+    assert not s.lookup(e.id, Machine).mailbox
     start = threading.Barrier(2)
 
     def send(tag):
@@ -216,16 +216,16 @@ def test_from_engine_without_any_deposit_faults():
     e = s.new_engine("X", "from_engine(X)")
     m = s.lookup(e.id, Machine)
     assert e.get() is NO
-    assert m.mailbox is None and m.dead
+    assert not m.mailbox and m.dead
     assert len(lines) == 1 and "mailbox_empty" in lines[0]
 
 
 def test_kill_drops_the_mailbox(base):
     e = base.new_engine("X", "from_engine(X)")
     m = base.lookup(e.id, Machine)
-    assert e.to_engine(parse_term("a")) and m.mailbox is not None
+    assert e.to_engine(parse_term("a")) and m.mailbox
     e.stop()
-    assert m.mailbox is None and not e.to_engine(parse_term("b"))
+    assert not m.mailbox and not e.to_engine(parse_term("b"))
 
 
 def test_an_engine_that_stops_itself_runs_no_further():

@@ -15,7 +15,7 @@ import weakref
 
 import pytest
 
-from hornlog import NO, Session, parse_term, write_term
+from hornlog import NO, MachineError, Session, parse_term, write_term
 from hornlog.threads import ThreadRef
 
 # one prelude construct each, as a goal with at least one answer
@@ -135,6 +135,23 @@ def test_a_self_referencing_engine_is_freed_by_the_cycle_collector():
     assert counts(s) == (before[0] + 1, before[1] + 1)
     gc.collect()
     assert counts(s) == before
+
+
+def test_a_faulted_engine_is_freed_while_its_fault_event_is_kept():
+    # the event is the raised fault itself; a traceback on it would keep
+    # the frames of the run, and with them the machine
+    events, lines = [], []
+    s = Session(on_event=lambda eid, ev: events.append(ev), on_error=lines.append)
+    e = s.new_engine("X", "X is foo+1")
+    machine = weakref.ref(e.machine)
+    assert e.get() is NO
+    (ev,) = events
+    assert type(ev) is MachineError and ev.kind == "type_error" and write_term(ev.culprit) == "foo"
+    assert ev.__traceback__ is None
+    assert lines == [f"engine {e.id}: type_error: foo"]
+    del e
+    assert machine() is None
+    assert events == [ev]
 
 
 def test_an_engine_handed_to_run_bg_answers_no_through_its_old_handle():

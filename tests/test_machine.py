@@ -4,13 +4,13 @@ from collections import Counter
 
 import pytest
 
+import hornlog
 from hornlog import (
     EXHAUSTED,
     AnswerReady,
     Atom,
     Int,
     MachineError,
-    MachineFault,
     Machine,
     Session,
     Struct,
@@ -33,7 +33,7 @@ def machine(base: Session, pattern, goal) -> Machine:
     if isinstance(pattern, str):
         spec = parse_term(f"'$spec'(({pattern}),({goal}))")
         pattern, goal = spec.args
-    return Machine(base, base.db, pattern, goal)
+    return Machine(base, pattern, goal)
 
 
 def events(m: Machine, n: int):
@@ -73,11 +73,11 @@ def test_exhaustion_absorbing(base):
 
 
 def test_boot_rejects_variable_and_integer_goal(base):
-    with pytest.raises(MachineFault) as e:
-        Machine(base, base.db, Var(), Var())
+    with pytest.raises(MachineError) as e:
+        Machine(base, Var(), Var())
     assert e.value.kind == "type_error"
-    with pytest.raises(MachineFault) as e:
-        Machine(base, base.db, Var(), Int(7))
+    with pytest.raises(MachineError) as e:
+        Machine(base, Var(), Int(7))
     assert e.value.kind == "type_error"
 
 
@@ -128,6 +128,16 @@ def test_from_engine_on_empty_mailbox_kills(base):
     assert type(ev) is MachineError and ev.kind == "mailbox_empty"
     assert m.dead
     assert m.resume() is EXHAUSTED
+
+
+def test_a_fault_is_one_class_and_its_event_has_no_traceback(base):
+    m = machine(base, "X", "X is 1/0")
+    ev = m.resume()
+    assert type(ev) is MachineError and isinstance(ev, Exception)
+    assert ev.kind == "arith_error" and ev.__traceback__ is None
+    assert m.dead
+    assert not hasattr(hornlog, "MachineFault")
+    assert all(hasattr(hornlog, name) for name in hornlog.__all__)
 
 
 def test_kill_idempotent_and_total(base):
@@ -275,16 +285,16 @@ def test_eval_isqrt_matches_linear_search_oracle():
 
 
 def test_eval_arith_errors():
-    with pytest.raises(MachineFault) as e:
+    with pytest.raises(MachineError) as e:
         eval_arith(parse_term("1/0"))
     assert e.value.kind == "arith_error"
-    with pytest.raises(MachineFault) as e:
+    with pytest.raises(MachineError) as e:
         eval_arith(parse_term("1 mod 0"))
     assert e.value.kind == "arith_error"
-    with pytest.raises(MachineFault) as e:
+    with pytest.raises(MachineError) as e:
         eval_arith(Var())
     assert e.value.kind == "instantiation_error"
-    with pytest.raises(MachineFault) as e:
+    with pytest.raises(MachineError) as e:
         eval_arith(Atom("x"))
     assert e.value.kind == "type_error"
 
@@ -295,7 +305,7 @@ def test_deep_arithmetic_runs_off_the_host_stack():
     text = "+".join(["1"] * 20000)
     assert eval_arith(parse_term(text)) == 20000
     assert eval_arith(parse_term(f"integer(sqrt(-(-({text}))))")) == 141
-    with pytest.raises(MachineFault) as e:
+    with pytest.raises(MachineError) as e:
         eval_arith(parse_term(f"{text}+x*2"))
     assert e.value.kind == "type_error" and write_term(e.value.culprit) == "x"
 
@@ -534,8 +544,8 @@ def test_every_boundary_copy_goes_through_the_traced_copy_term_names():
             m.copy_term = counted
         s = Session(text="two:-return(a),return(b).")
         g = parse_term("true")
-        assert copies(lambda: Machine(s, s.db, g, g)) == 1  # new_engine(G,G,E)
-        assert copies(lambda: Machine(s, s.db, Var(), g)) == 2
+        assert copies(lambda: Machine(s, g, g)) == 1  # new_engine(G,G,E)
+        assert copies(lambda: Machine(s, Var(), g)) == 2
         # the query: boot 2, answer 1; if/3 adds its boot and its answer
         assert copies(lambda: s.first("X", "X=1")) == 3
         assert copies(lambda: s.first("X", "if(X=1,true,true)")) == 5
@@ -601,7 +611,7 @@ def test_every_record_has_an_entry():
     for key in [(Atom("undefined_pred"), 2), (Atom("member"), 3)]:
         p, args = s.db.resolve(parse_term(f"{key[0].name}({','.join('_' * key[1])})"))
         assert p.key == key and p.key not in s.db._preds
-        with pytest.raises(MachineFault) as e:
+        with pytest.raises(MachineError) as e:
             p.fn(None, args, None)
         assert e.value.kind == "unknown_predicate"
         assert write_term(e.value.culprit) == f"{key[0].name}/{key[1]}"
@@ -657,7 +667,7 @@ def test_app_over_a_long_list_is_one_entry_call_and_leaves_nothing(entry_calls):
     s = Session(text=NREV, prelude=False)
     out = Var()
     goal = Struct("app", (make_list([Int(i) for i in range(n)]), make_list([Atom("z")]), out))
-    m = Machine(s, s.db, out, goal)
+    m = Machine(s, out, goal)
     ev = m.resume()
     assert type(ev) is AnswerReady
     items, tail = list_parts(ev.value)

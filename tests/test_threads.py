@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from hornlog import NO, MachineFault, Session, parse_term, write_term
+from hornlog import NO, MachineError, Session, parse_term, write_term
 
 from conftest import answers_str, vars_below
 
@@ -205,7 +205,7 @@ def test_join_finished_thread_immediate(base):
 
 def test_join_self_is_error(base):
     cur = base.current_thread()
-    with pytest.raises(MachineFault):
+    with pytest.raises(MachineError):
         cur.join()
     lines = []
     s = Session(on_error=lines.append)
