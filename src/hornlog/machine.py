@@ -560,6 +560,26 @@ class Database:
             p.clauses = []
         p.clauses.append(cl)
 
+    def include(self, other: "Database") -> None:
+        """Add other's clauses after this database's own, as if their
+        source were loaded here, compiling nothing. Each is a new Clause
+        that shares its key, templates and origin, and whose body calls
+        this database's record of a key where it called other's; the
+        internal cut and call records stay. other is only read, so one
+        open template database can be included by any number of others."""
+        if self.frozen:
+            raise RuntimeError("database is frozen")
+        theirs = other._preds
+        for key, p in theirs.items():
+            mine = self.pred(key)
+            if p.clauses is None:
+                continue
+            if mine.clauses is None:
+                mine.clauses = []
+            for cl in p.clauses:
+                body = tuple((self.pred(q.key) if theirs.get(q.key) is q else q, a) for q, a in cl.body)
+                mine.clauses.append(Clause(cl.key, cl.args, body, cl.origin))
+
     def freeze(self):
         self.frozen = True
         for p in self._preds.values():

@@ -2,12 +2,16 @@
 
 The database is built once (prelude, then user files, then inline text) and
 frozen before any engine runs; all dynamic behavior happens inside engines.
+The prelude is read and compiled to clause templates once per process, into
+a database of its own that is never run; a session links those templates
+into its database, so only its own program is parsed and compiled.
 Machine faults never unwind into the caller: they are printed as one-line
 diagnostics on the error channel and the offending engine answers NO.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 import weakref
@@ -29,7 +33,32 @@ def prelude_sources() -> list[tuple[str, str]]:
     return [(name, (root / name).read_text(encoding="utf-8")) for name in PRELUDE_FILES]
 
 
+def _load(db: Database, source: str, name: str) -> None:
+    for cl in parse_program(source, name):
+        db.add(cl.head, cl.body, cl.origin)
+
+
+@functools.cache
+def prelude_image() -> Database:
+    """The prelude read and compiled to clause templates, once per process.
+    It is never frozen and never run: each Session includes it into its own
+    database. Threads that race on the first call may each build one."""
+    db = Database()
+    for name, src in prelude_sources():
+        _load(db, src, name)
+    return db
+
+
 class Session:
+    """A frozen program and the engines, hubs and threads that run it.
+
+    The database holds the prelude (unless prelude is False), the clauses
+    of each file in files, then those of text, in that order: clauses of a
+    prelude predicate in a file or text come after the prelude's own. The
+    prelude is linked in from prelude_image(), not read again. Faults go to
+    on_error as one line each (stderr by default); on_event(id, event) is
+    called with each event a resume returns."""
+
     def __init__(
         self,
         files=(),
@@ -52,18 +81,13 @@ class Session:
         self._pins: dict[int, Handle] = {}
         self._thread = threading.local()
         if prelude:
-            for name, src in prelude_sources():
-                self._load(src, name)
+            self.db.include(prelude_image())
         for path in files:
             with open(path, "r", encoding="utf-8") as fh:
-                self._load(fh.read(), str(path))
+                _load(self.db, fh.read(), str(path))
         if text is not None:
-            self._load(text, "<text>")
+            _load(self.db, text, "<text>")
         self.db.freeze()
-
-    def _load(self, source: str, name: str) -> None:
-        for cl in parse_program(source, name):
-            self.db.add(cl.head, cl.body, cl.origin)
 
     # -- engine operations (host mirror of the builtins) ----------------------
 

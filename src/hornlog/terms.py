@@ -313,31 +313,8 @@ def variant(a, b) -> bool:
     return True
 
 
-def term_vars(t) -> list[Var]:
-    """Distinct unbound variables of t in first-occurrence order."""
-    seen: dict[Var, None] = {}
-    stack = [t]
-    while stack:
-        x = deref(stack.pop())
-        if type(x) is Var:
-            seen.setdefault(x, None)
-        elif type(x) is Struct:
-            stack.extend(reversed(x.args))
-    return list(seen)
-
-
 def make_list(items, tail=NIL):
     out = tail
     for x in reversed(items):
         out = Struct(DOT, (x, out))
     return out
-
-
-def list_parts(t):
-    """Split a list chain into (items, tail); tail is NIL for a proper list."""
-    items = []
-    t = deref(t)
-    while type(t) is Struct and t.functor is DOT and len(t.args) == 2:
-        items.append(t.args[0])
-        t = deref(t.args[1])
-    return items, t

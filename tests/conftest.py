@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from hornlog import Atom, Int, Session, Struct, Var, make_list, write_term
+from hornlog import Atom, Int, Session, Struct, Var, deref, make_list, write_term
+from hornlog.terms import DOT
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +63,26 @@ def vars_below(t) -> set[int]:
         elif type(x) is Struct:
             stack.extend(x.args)
     return seen
+
+
+def term_vars(t) -> list[Var]:
+    """Distinct unbound variables of t in first-occurrence order."""
+    seen: dict[Var, None] = {}
+    stack = [t]
+    while stack:
+        x = deref(stack.pop())
+        if type(x) is Var:
+            seen.setdefault(x, None)
+        elif type(x) is Struct:
+            stack.extend(reversed(x.args))
+    return list(seen)
+
+
+def list_parts(t):
+    """Split a list chain into (items, tail); tail is NIL for a proper list."""
+    items = []
+    t = deref(t)
+    while type(t) is Struct and t.functor is DOT and len(t.args) == 2:
+        items.append(t.args[0])
+        t = deref(t.args[1])
+    return items, t

@@ -178,7 +178,7 @@ print(json.dumps({"primes": primes, "rss10": rss10, "rss1000": rss1000}))
 
 
 def test_c07_findall_fold_equivalence(sess):
-    from hornlog.terms import list_parts
+    from conftest import list_parts
 
     rng = random.Random(909)
     checked = 0

@@ -11,9 +11,8 @@ import pytest
 
 from hornlog import Atom, Int, Session, Struct, Var, deref, make_list, parse_term, write_term
 from hornlog.machine import Database
-from hornlog.terms import list_parts
 
-from conftest import answers_str
+from conftest import answers_str, list_parts
 
 NREV = """
 nrev([],[]).

@@ -24,9 +24,8 @@ from hornlog import (
     write_term,
 )
 from hornlog.machine import ClausePred
-from hornlog.terms import list_parts
 
-from conftest import answers_str
+from conftest import answers_str, list_parts
 
 
 def machine(base: Session, pattern, goal) -> Machine:

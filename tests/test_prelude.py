@@ -72,7 +72,7 @@ def test_efoldl_cons_equals_findall_plus_foldl(base):
 
 
 def _list_items(t):
-    from hornlog.terms import list_parts
+    from conftest import list_parts
 
     items, tail = list_parts(t)
     return items

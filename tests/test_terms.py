@@ -17,9 +17,8 @@ from hornlog import (
     unify,
     variant,
 )
-from hornlog.terms import list_parts, term_vars
 
-from conftest import random_term, vars_below
+from conftest import list_parts, random_term, term_vars, vars_below
 
 
 def test_atom_interning_is_injective():
