@@ -14,14 +14,15 @@ clause store) purely out of engines.
     'a-b'
 """
 
-from .engines import NO, EngineRef, The
 from .machine import (
     EXHAUSTED,
+    NO,
     AnswerReady,
     Database,
     Exhausted,
     Machine,
     MachineError,
+    The,
     Yielded,
     eval_arith,
 )
@@ -38,7 +39,6 @@ from .terms import (
     make_list,
     term_equal,
     unify,
-    variant,
 )
 from .threads import Hub, ThreadRef
 from .writer import write_term
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Session",
-    "EngineRef",
     "The",
     "NO",
     "Atom",
@@ -58,7 +57,6 @@ __all__ = [
     "unify",
     "copy_term",
     "term_equal",
-    "variant",
     "deref",
     "make_list",
     "parse_term",

@@ -719,10 +719,72 @@ class BetweenCP:
 
 
 # ---------------------------------------------------------------------------
+# handles and answers
+
+
+class The:
+    """A successful answer holding a standalone copy of the instance."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return f"The({self.value!r})"
+
+
+class _No:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "NO"
+
+
+NO = _No()
+
+
+class Handle:
+    """An object of a session's handle table, which is its own handle: an
+    engine (its Machine), a hub or a thread. It has an id (0 until a
+    session enters it), drawn from the one sequence they all share, and
+    the object-language term FUNCTOR(Id).
+
+    The table refers to its objects weakly, so an object lives only while
+    something reaches it: the host, or a handle term, whose Int holds the
+    object as its owner. A handle read back from text holds nothing and
+    resolves only while its object is alive."""
+
+    __slots__ = ("id", "__weakref__")
+    FUNCTOR: Atom
+
+    @property
+    def term(self) -> Struct:
+        i = Int(self.id)
+        i.owner = self
+        return Struct(self.FUNCTOR, (i,))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.id})"
+
+
+def handle_id(t, kind: type[Handle]) -> int:
+    """The id in a handle term of kind, such as '$engine'(Id); faults otherwise."""
+    t = deref(t)
+    if type(t) is Struct and t.functor is kind.FUNCTOR and len(t.args) == 1:
+        i = deref(t.args[0])
+        if type(i) is Int:
+            return i.value
+    raise MachineError("type_error", t)
+
+
+# ---------------------------------------------------------------------------
 # the machine
 
-class Machine:
-    """One suspendable resolution engine over a shared database.
+class Machine(Handle):
+    """One suspendable resolution engine over a shared database, and the
+    handle its clients hold: get, stop and to_engine are the host's side of
+    the builtins of the same names.
 
     Owned and advanced by exactly one thread at a time; terms enter only as
     copies (boot, deposit) and leave only as copies (answers, yields).
@@ -738,9 +800,8 @@ class Machine:
         "pattern",
         "dead",
         "running",
-        "id",
-        "__weakref__",  # the session's handle table refers to it weakly
     )
+    FUNCTOR = Atom("$engine")
 
     def __init__(self, session, pattern, goal):
         g = deref(goal)
@@ -764,6 +825,22 @@ class Machine:
         self.id = 0
 
     # -- client operations ---------------------------------------------------
+
+    def get(self):
+        """Next answer: The(term) or NO; NO forever once produced. Each
+        handle in an answer is pinned until its engine's stop, so it still
+        resolves when the host writes it and reads it back."""
+        session = self.session
+        ans = session.get_by_id(self.id)
+        if ans is not NO and session.last_id > self.id:  # it may hold a newer handle
+            session.pin(ans.value)
+        return ans
+
+    def stop(self):
+        self.session.stop_id(self.id)
+
+    def to_engine(self, data) -> bool:
+        return self.session.to_id(self.id, data)
 
     def resume(self):
         """Run until the next event. Total: a dead machine reports Exhausted,

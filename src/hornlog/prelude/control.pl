@@ -28,12 +28,15 @@ select_if(the(Cond),Cond,Then,_Else):-Then.
 
 not(Goal):-if(Goal,fail,true).
 
-% All answers of a generator, in generation order.
+% All answers of a generator, in generation order: one fold over its
+% engine appends each answer to the open end of a difference list.
 
 findall(X,Goal,Xs):-
   new_engine(X,Goal,Engine),
-  efoldl(Engine,reverse_cons,[],Rs),
-  reverse(Rs,Xs).
+  efoldl(Engine,snoc,Ys-Ys,Zs-[]),
+  Xs=Zs.
+
+snoc(Hs-[X|Ts],X,Hs-Ts).
 
 % Exceptions: a throw is a yield of an exception/1 wrapper. catch runs its
 % goal in a private engine, forwards ordinary answers transparently, and on

@@ -1,5 +1,9 @@
 """A session: one frozen program plus the handle table engines live in.
 
+An engine is its Machine, and the Machine is its own handle: new_engine
+returns it, the table holds it, and a handle term's id holds it as its
+owner. Hubs and threads are handles the same way.
+
 The database is built once (prelude, then user files, then inline text) and
 frozen before any engine runs; all dynamic behavior happens inside engines.
 The prelude is read and compiled to clause templates once per process, into
@@ -17,8 +21,8 @@ import threading
 import weakref
 from importlib import resources
 
-from .engines import NO, EngineRef, Handle, The
-from .machine import EXHAUSTED, Database, Machine, MachineError
+from . import engines  # registers its builtins before the prelude image is built
+from .machine import EXHAUSTED, NO, Database, Handle, Machine, MachineError, The
 from .reader import parse_program, parse_term
 from .terms import Atom, Int, Struct, Var, deref
 from .threads import Hub, ThreadRef
@@ -72,8 +76,9 @@ class Session:
         self.on_event = on_event
         self.error_count = 0
         self._lock = threading.Lock()
-        # one id sequence and one weak table for engines (as their Machine),
-        # hubs and threads: an entry lives while its object is reachable.
+        # one id sequence and one weak table for engines (each a Machine),
+        # hubs and threads, each its own handle: an entry lives while its
+        # object is reachable.
         # _pins keeps the handles answered to the host until their engine's
         # stop. _thread holds each thread's own ThreadRef.
         self.last_id = 0
@@ -91,7 +96,7 @@ class Session:
 
     # -- engine operations (host mirror of the builtins) ----------------------
 
-    def new_engine(self, pattern, goal) -> EngineRef:
+    def new_engine(self, pattern, goal) -> Machine:
         """Boot a fresh engine; nothing is executed yet.
 
         pattern and goal may be terms, or both strings that are parsed as one
@@ -107,8 +112,8 @@ class Session:
             raise TypeError("engine goal must be an atom or compound term")
         return self.spawn(pattern, goal)
 
-    def spawn(self, pattern, goal) -> EngineRef:
-        return EngineRef(self._add(Machine(self, pattern, goal)))
+    def spawn(self, pattern, goal) -> Machine:
+        return self._add(Machine(self, pattern, goal))
 
     def get_by_id(self, eid: int):
         machine = self.lookup(eid, Machine)
@@ -185,8 +190,8 @@ class Session:
             raise ValueError("hub timeout must be from 0 to threading.TIMEOUT_MAX seconds")
         return self._add(Hub(timeout_ms))
 
-    def run_bg(self, ref: EngineRef) -> ThreadRef | None:
-        return self.run_bg_id(ref.id)
+    def run_bg(self, engine: Machine) -> ThreadRef | None:
+        return self.run_bg_id(engine.id)
 
     def run_bg_id(self, eid: int) -> ThreadRef | None:
         """Move an engine onto its own thread; the handle stops resolving.
@@ -227,15 +232,15 @@ class Session:
 
     def answers(self, pattern, goal, limit: int | None = None) -> list:
         """Collect answer instances of goal until exhaustion or limit."""
-        ref = self.new_engine(pattern, goal)
+        e = self.new_engine(pattern, goal)
         out = []
         while limit is None or len(out) < limit:
-            ans = ref.get()
+            ans = e.get()
             if ans is NO:
                 break
             out.append(ans.value)
         if limit is not None:
-            ref.stop()
+            e.stop()
         return out
 
     def first(self, pattern, goal):

@@ -15,8 +15,7 @@ from __future__ import annotations
 import queue
 import threading
 
-from .engines import EngineRef, Handle, handle_id
-from .machine import MachineError, builtin, _int_arg
+from .machine import Handle, Machine, MachineError, builtin, handle_id, _int_arg
 from .terms import Atom, copy_term, deref, unify
 
 
@@ -76,7 +75,7 @@ def _bi_bg(m, args, rest):
 
 @builtin("run_bg", 2)
 def _bi_run_bg(m, args, rest):
-    tref = m.session.run_bg_id(handle_id(args[0], EngineRef))
+    tref = m.session.run_bg_id(handle_id(args[0], Machine))
     if tref is None:
         return False
     return unify(args[1], tref.term, m.trail)

@@ -78,6 +78,37 @@ def term_vars(t) -> list[Var]:
     return list(seen)
 
 
+def variant(a, b) -> bool:
+    """True when a and b are identical up to a bijective renaming of
+    unbound variables."""
+    fwd: dict[Var, Var] = {}
+    bwd: dict[Var, Var] = {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        x = deref(x)
+        y = deref(y)
+        tx = type(x)
+        if tx is not type(y):
+            return False
+        if tx is Var:
+            if fwd.setdefault(x, y) is not y or bwd.setdefault(y, x) is not x:
+                return False
+            continue
+        if tx is Atom:
+            if x is not y:
+                return False
+            continue
+        if tx is Int:
+            if x.value != y.value:
+                return False
+            continue
+        if x.functor is not y.functor or len(x.args) != len(y.args):
+            return False
+        stack.extend(zip(x.args, y.args))
+    return True
+
+
 def list_parts(t):
     """Split a list chain into (items, tail); tail is NIL for a proper list."""
     items = []

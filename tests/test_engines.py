@@ -3,9 +3,10 @@ from __future__ import annotations
 import random
 import threading
 
-from hornlog import NO, Machine, Session, The, Trail, parse_term, unify, variant, write_term
+import hornlog
+from hornlog import NO, Machine, Session, The, Trail, parse_term, unify, write_term
 
-from conftest import answers_str
+from conftest import answers_str, variant
 
 
 def test_get_protocol_exact_sequence(base):
@@ -17,10 +18,19 @@ def test_get_protocol_exact_sequence(base):
 
 
 def test_reader_made_handle_term_has_the_handle_functor():
-    # the reader interns '$engine' to the very atom EngineRef.FUNCTOR is
-    from hornlog.engines import EngineRef, handle_id
+    # the reader interns '$engine' to the very atom Machine.FUNCTOR is
+    from hornlog.machine import handle_id
 
-    assert handle_id(parse_term("'$engine'(3)"), EngineRef) == 3
+    assert handle_id(parse_term("'$engine'(3)"), Machine) == 3
+
+
+def test_an_engine_is_its_own_handle(base):
+    # new_engine returns the Machine: the table and a handle term's id hold it
+    e = base.new_engine("X", "member(X,[1,2])")
+    assert type(e) is Machine
+    assert base.lookup(e.id, Machine) is e
+    assert e.term.args[0].owner is e
+    assert not hasattr(hornlog, "EngineRef")
 
 
 def test_new_engine_performs_no_work(base):

@@ -107,7 +107,7 @@ def test_stop_drops_the_pin():
 def test_run_bg_drops_the_pin():
     s = Session()
     (t,) = s.answers("E", "new_engine(X,member(X,[1,2]),E)")
-    machine = weakref.ref(t.args[0].owner.machine)
+    machine = weakref.ref(t.args[0].owner)
     text = write_term(t)
     del t
     (tref,) = s.answers("T", f"run_bg({text},T)")
@@ -143,7 +143,7 @@ def test_a_faulted_engine_is_freed_while_its_fault_event_is_kept():
     events, lines = [], []
     s = Session(on_event=lambda eid, ev: events.append(ev), on_error=lines.append)
     e = s.new_engine("X", "X is foo+1")
-    machine = weakref.ref(e.machine)
+    machine = weakref.ref(e)
     assert e.get() is NO
     (ev,) = events
     assert type(ev) is MachineError and ev.kind == "type_error" and write_term(ev.culprit) == "foo"
@@ -157,7 +157,7 @@ def test_a_faulted_engine_is_freed_while_its_fault_event_is_kept():
 def test_an_engine_handed_to_run_bg_answers_no_through_its_old_handle():
     s = Session()
     e = s.new_engine("X", "member(X,[1,2])")
-    machine = weakref.ref(e.machine)
+    machine = weakref.ref(e)
     t = s.run_bg(e)
     t.thread.join(timeout=5)
     assert not t.thread.is_alive()

@@ -20,12 +20,11 @@ from hornlog import (
     eval_arith,
     make_list,
     parse_term,
-    variant,
     write_term,
 )
 from hornlog.machine import ClausePred
 
-from conftest import answers_str, list_parts
+from conftest import answers_str, list_parts, variant
 
 
 def machine(base: Session, pattern, goal) -> Machine:

@@ -44,15 +44,22 @@ def test_a_second_session_reads_and_compiles_no_prelude_clause(monkeypatch):
 def test_clauses_a_program_adds_to_a_prelude_predicate_stay_in_its_session():
     s = Session(text=EXTRA_MEMBER)
     # member/2's call of itself, a body call in db.pl, and a goal reverse/2
-    # runs on an engine all reach the added clause
+    # runs on an engine all reach the added clause; no (H:-B) matches extra
     assert answers_str(s, "X", "member(X,[1,2])") == ["1", "2", "extra", "extra", "extra"]
     assert answers_str(s, "R", "reverse([1,2],R)") == ["[extra,extra,extra,2,1]"]
     query = "(new_edb(E), edb_assertz(E,(p(1):-true)), findall(H-B,edb_clause(E,H,B),L))"
-    assert answers_str(s, "L", query) == ["[extra,extra,p(1)-true]"]
+    assert answers_str(s, "L", query) == ["[p(1)-true]"]
     later = Session()
     assert answers_str(later, "X", "member(X,[1,2])") == ["1", "2"]
     assert answers_str(later, "R", "reverse([1,2],R)") == ["[2,1]"]
     assert answers_str(later, "L", query) == ["[p(1)-true]"]
+
+
+def test_findall_lists_its_goals_answers_whatever_member_a_program_adds():
+    # findall/3 folds its one engine's answers; it calls no member/2 of its own
+    s = Session(text=EXTRA_MEMBER)
+    assert answers_str(s, "L", "findall(X,member(X,[a]),L)") == ["[a,extra,extra]"]
+    assert answers_str(s, "L", "findall(X,between(1,2,X),L)") == ["[1,2]"]
 
 
 def test_prelude_code_names_and_origins_are_those_of_the_sources():

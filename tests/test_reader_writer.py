@@ -16,13 +16,12 @@ from hornlog import (
     make_list,
     parse_program,
     parse_term,
-    variant,
     write_term,
 )
 from hornlog.reader import MAX_NESTING
 from hornlog.session import prelude_sources
 
-from conftest import random_term
+from conftest import random_term, variant
 
 
 def test_parse_compound_with_list():

@@ -15,10 +15,9 @@ from hornlog import (
     make_list,
     term_equal,
     unify,
-    variant,
 )
 
-from conftest import list_parts, random_term, term_vars, vars_below
+from conftest import list_parts, random_term, term_vars, variant, vars_below
 
 
 def test_atom_interning_is_injective():

@@ -9,7 +9,7 @@ import pytest
 
 from hornlog import NO, MachineError, Session, parse_term, write_term
 
-from conftest import answers_str, vars_below
+from conftest import answers_str, variant, vars_below
 
 
 def test_hub_put_then_collect(base):
@@ -323,7 +323,7 @@ def test_run_bg_join_then_all_work_done(base):
 
 
 def test_hub_term_collected_on_another_thread_shares_no_var(base):
-    from hornlog import Struct, Trail, Var, unify, variant
+    from hornlog import Struct, Trail, Var, unify
 
     h = base.hub(0)
     x, y = Var(), Var()
