@@ -17,11 +17,15 @@ entry: a builtin, the clause entry of a predicate with clauses, or an
 entry that faults unknown_predicate. The machine's own steps are goals of
 internal records too: a body cut carries its clause's barrier, the goal
 below a query's goal hands out its answer, and an answered machine is left
-a fail goal, so resuming it backtracks into its choice points. A clause
-entry runs a deterministic call of its own predicate in place: when the
-one candidate clause's body starts with a call of the same record, the
-entry goes on with that call instead of returning it to the run loop, so
-app/3 over a list is one entry call.
+a fail goal, so resuming it backtracks into its choice points.
+
+A clause entry backtracks shallowly: it tries its candidates' heads in
+order, undoing each one that fails, and makes a choice point only when a
+head matches and candidates remain; the last candidate runs without one.
+When a clause run without one has a body that starts with a call of the
+same record, the entry goes on with that call instead of returning it to
+the run loop, so app/3 over a list, or member/2's scan for an element
+further down its list, is one entry call.
 
 A clause is tried by one Python function generated for it, in the spirit
 of the WAM's get/unify/put instructions: the function unifies the head
@@ -472,11 +476,12 @@ class Pred:
     precedence over clauses (None if there are none); otherwise link()
     makes the record a ClausePred or an UnknownPred as the database
     freezes. Their fn is a method, so a record never refers to itself and
-    is freed with its session. A ClausePred's entry runs its calls of
-    itself in place while each has one candidate clause, and still asks
-    Database.lookup once per call. index holds the first-argument index once the
-    database freezes: (clauses per first-argument key, clauses with a
-    variable first argument)."""
+    is freed with its session. A ClausePred's entry makes a choice point
+    only once a head matches with candidates left, runs its calls of
+    itself in place while each reaches its last candidate, and still asks
+    Database.lookup once per call. index holds the first-argument index
+    once the database freezes: (clauses per first-argument key, clauses
+    with a variable first argument)."""
 
     __slots__ = ("key", "clauses", "index", "fn")
 
@@ -495,20 +500,44 @@ class ClausePred(Pred):
     __slots__ = ()
 
     def fn(self, m: "Machine", args, rest):
-        """Run the one candidate clause, or try several from a choice point.
-        While the one candidate's body starts with a call of this record,
-        that call, which the machine would run next, runs here in place. A
-        fact hands back its caller's continuation, and that goes back to
-        _run: _run still holds the chain it called with, so running on into
-        it here would keep every goal done meanwhile alive."""
+        """Run a call's candidate clauses with shallow backtracking. Their
+        heads are tried in order under a new trail stamp, each failed one
+        undone to the mark taken on entry, and a ClauseCP over the
+        candidates left is made only when one matches. The last candidate
+        runs without a choice point, trailed against the older ones only,
+        as ClauseCP.retry runs it; when no head matches, the call fails
+        without one. While the clause run that way has a body that starts
+        with a call of this record, that call, which the machine would run
+        next, runs here in place. A fact hands back its caller's
+        continuation, and that goes back to _run: _run still holds the
+        chain it called with, so running on into it here would keep every
+        goal done meanwhile alive."""
         lookup = m.db.lookup  # read through the class: a tracer may wrap it
         trail = m.trail
-        barrier = len(m.cps)  # a clause run pushes no choice point
+        barrier = len(m.cps)  # it holds in the loop: a choice point ends it
         while True:
             clauses = lookup(self, args)
-            if len(clauses) != 1:
-                break
-            cl = clauses[0]
+            if len(clauses) == 1:
+                cl = clauses[0]
+            elif clauses:
+                # the stamp is the choice point's if a head matches: the
+                # bindings of older variables are trailed against it
+                mark = len(trail.entries)
+                outer = trail.boundary
+                trail.boundary = stamp = next_stamp()
+                last = len(clauses) - 1
+                for i in range(last):
+                    cl = clauses[i]
+                    goals = (cl.run or cl.compile())(args, trail, rest, barrier)
+                    if goals is not False:
+                        m.cps.append(ClauseCP(args, rest, clauses, i + 1, mark, barrier, stamp))
+                        m.goals = goals
+                        return None
+                    trail.undo_to(mark)
+                trail.boundary = outer
+                cl = clauses[last]
+            else:
+                return False
             goals = (cl.run or cl.compile())(args, trail, rest, barrier)
             if goals is False:
                 return False
@@ -517,13 +546,6 @@ class ClausePred(Pred):
                 return None
             goal, rest = goals
             args = goal[1]
-        if not clauses:
-            return False
-        # the choice point must exist before head unification so that the
-        # bindings it makes are trailed against this choice point
-        cp = ClauseCP(args, rest, clauses, trail.mark(), barrier)
-        m._push_cp(cp)
-        return None if cp.retry(m) else False
 
 
 class UnknownPred(Pred):
@@ -666,14 +688,14 @@ class Database:
 class ClauseCP:
     __slots__ = ("args", "rest", "clauses", "cursor", "trailmark", "barrier", "stamp")
 
-    def __init__(self, args, rest, clauses, trailmark, barrier):
+    def __init__(self, args, rest, clauses, cursor, trailmark, barrier, stamp):
         self.args = args
         self.rest = rest
         self.clauses = clauses
-        self.cursor = 0
+        self.cursor = cursor
         self.trailmark = trailmark
         self.barrier = barrier
-        self.stamp = 0
+        self.stamp = stamp
 
     def retry(self, m: "Machine") -> bool:
         clauses = self.clauses
@@ -700,13 +722,13 @@ class ClauseCP:
 class BetweenCP:
     __slots__ = ("var", "next", "hi", "rest", "trailmark", "stamp")
 
-    def __init__(self, var, nxt, hi, rest, trailmark):
+    def __init__(self, var, nxt, hi, rest, trailmark, stamp):
         self.var = var
         self.next = nxt
         self.hi = hi
         self.rest = rest
         self.trailmark = trailmark
-        self.stamp = 0
+        self.stamp = stamp
 
     def retry(self, m: "Machine") -> bool:
         v = self.next
@@ -902,11 +924,6 @@ class Machine(Handle):
             if cp.retry(self):
                 return True
         return False
-
-    def _push_cp(self, cp):
-        cp.stamp = next_stamp()
-        self.cps.append(cp)
-        self.trail.boundary = cp.stamp
 
     def _cut(self, height: int) -> None:
         """Drop the choice points from height up, and the trail entries no
@@ -1157,9 +1174,11 @@ def _bi_between(m, args, rest):
         raise MachineError("type_error", x)
     if lo > hi:
         return False
+    trail = m.trail
     if lo < hi:
-        m._push_cp(BetweenCP(x, lo + 1, hi, rest, m.trail.mark()))
-    bind(x, Int(lo), m.trail)
+        trail.boundary = stamp = next_stamp()
+        m.cps.append(BetweenCP(x, lo + 1, hi, rest, trail.mark(), stamp))
+    bind(x, Int(lo), trail)
     return True
 
 

@@ -22,6 +22,7 @@ from hornlog import (
     parse_term,
     write_term,
 )
+from hornlog import machine as machine_module
 from hornlog.machine import ClausePred
 
 from conftest import answers_str, list_parts, variant
@@ -739,3 +740,96 @@ def test_a_fault_inside_a_looped_call_reads_as_before(goal, line):
     s, lines = _errors(LOOPED)
     assert s.answers("R", goal) == []
     assert lines == [line]
+
+
+# -- shallow backtracking: a choice point only once a head matches ---------------
+
+SHALLOW = """
+member(X,[X|_]).
+member(X,[_|T]):-member(X,T).
+r(a,x).
+r(Y,y):-var(Y).
+w(a,x).
+w(b,_).
+c(1,a).
+c(2,_).
+c(_,z).
+v(X,[X|_]):-!.
+v(X,[_|T]):-v(X,T).
+k(1,a).
+k(_,b):-!.
+k(_,_).
+"""
+
+
+def test_a_failed_head_leaves_the_callers_variable_unbound():
+    # r(a,x) binds V to a before x fails to match y
+    s = Session(text=SHALLOW, prelude=False)
+    m = machine(s, "V", "r(V,y)")
+    ev = m.resume()
+    assert type(ev) is AnswerReady and type(deref(ev.value)) is Var
+    assert len(m.cps) == 0
+    assert len(m.trail.entries) == 0
+    assert m.resume() is EXHAUSTED
+
+
+def test_the_last_candidate_after_failed_heads_trails_only_against_older_choice_points():
+    # w(b,_) binds the query's V with no choice point left to undo it
+    s = Session(text=SHALLOW, prelude=False)
+    m = machine(s, "V", "w(V,y)")
+    assert write_term(m.resume().value) == "b"
+    assert len(m.cps) == 0
+    assert len(m.trail.entries) == 0
+    # under member/2's choice point the binding is trailed, and undone
+    m = machine(s, "A-V", "(member(A,[p,q]),w(V,y))")
+    assert write_term(m.resume().value) == "p-b"
+    assert len(m.cps) == 1
+    assert [id(v) for v in m.trail.entries] == [id(v) for v in m.pattern.args]
+    assert write_term(m.resume().value) == "q-b"
+
+
+def test_backtracking_into_a_matched_heads_choice_point_undoes_its_bindings():
+    # c(1,a) fails on its second argument; c(2,_) binds V to 2 and makes the
+    # choice point; var(V) fails, and c(_,z) must see V unbound again
+    s = Session(text=SHALLOW, prelude=False)
+    first, second = s.answers("V", "c(V,z)")
+    assert deref(first).value == 2 and type(deref(second)) is Var
+    m = machine(s, "V", "(c(V,z),var(V))")
+    ev = m.resume()
+    assert type(ev) is AnswerReady and type(deref(ev.value)) is Var
+    assert len(m.cps) == 0
+    assert m.resume() is EXHAUSTED
+
+
+@pytest.mark.parametrize(
+    "goal, expected",
+    [
+        # v/2's first head fails on a and b; the cut of the clause that
+        # matches z keeps member/2's choice point, older than the call
+        ("(member(A,[p,q]),v(z,[a,b,z,z]))", ["p", "q"]),
+        # k(1,a) fails; the cut of k(_,b) drops only the choice point the
+        # match made over k(_,_)
+        ("(member(A,[p,q]),k(_,b))", ["p", "q"]),
+    ],
+)
+def test_a_cut_reached_after_failed_heads_cuts_to_its_callers_barrier(goal, expected):
+    s = Session(text=SHALLOW, prelude=False)
+    assert answers_str(s, "A", goal) == expected
+
+
+def test_a_member_scan_makes_one_choice_point(monkeypatch):
+    made = []
+
+    class CountedCP(machine_module.ClauseCP):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(machine_module, "ClauseCP", CountedCP)
+    s = Session()
+    assert len(s.answers("ok", f"member(z,[{'a,' * 1000}z])")) == 1
+    # only the head that matches z makes one; a failed head makes none,
+    # and so does the last clause, which runs the scan on in place
+    assert len(made) == 1
