@@ -143,8 +143,12 @@ def unify(a, b, trail: Trail) -> bool:
     On failure the trail is rolled back to its state at entry. No occurs
     check: unifying a variable with a term containing it builds a cyclic
     term, as in mainstream Prolog. Dereferencing, binding and the undo are
-    inline, and the stack of argument pairs is made only when two
-    compounds meet.
+    inline. Two compounds' arguments are taken left to right in place, as
+    the WAM's get_structure/unify sequence takes them: the loop goes on at
+    the first pair and stacks the rest, so a clash in the first argument
+    fails before any later argument is bound, and no pair list is made per
+    compound. The stack is made only when a compound of arity 2 or more is
+    met; unifying two lists holds one pending pair, not one per element.
     """
     entries = trail.entries
     boundary = trail.boundary
@@ -169,19 +173,33 @@ def unify(a, b, trail: Trail) -> bool:
                 if b.serial < boundary:
                     entries.append(b)
             elif (
-                ta is not tb
-                or ta is Atom  # interned: distinct objects are distinct atoms
-                or (ta is Int and a.value != b.value)
-                or (ta is Struct and (a.functor is not b.functor or len(a.args) != len(b.args)))
+                ta is Struct
+                and tb is Struct
+                and a.functor is b.functor
+                and len(aa := a.args) == len(ba := b.args)
             ):
+                n = len(aa)
+                if n:
+                    if n == 2:
+                        if stack is None:
+                            stack = [(aa[1], ba[1])]
+                        else:
+                            stack.append((aa[1], ba[1]))
+                    elif n > 2:
+                        # reversed, so that the pairs pop left to right
+                        if stack is None:
+                            stack = list(zip(aa[:0:-1], ba[:0:-1]))
+                        else:
+                            stack.extend(zip(aa[:0:-1], ba[:0:-1]))
+                    a = aa[0]
+                    b = ba[0]
+                    continue
+            # any other meeting fails but that of two equal integers (atoms
+            # are interned: distinct objects are distinct atoms)
+            elif ta is not Int or tb is not Int or a.value != b.value:
                 while len(entries) > mark:
                     entries.pop().ref = None
                 return False
-            elif ta is Struct:
-                if stack is None:
-                    stack = list(zip(a.args, b.args))
-                else:
-                    stack.extend(zip(a.args, b.args))
         if not stack:
             return True
         a, b = stack.pop()
@@ -259,27 +277,47 @@ def copy_term(t, vmap: dict | None = None):
 
 def term_equal(a, b) -> bool:
     """Structural identity of the dereferenced terms (Prolog ==), including
-    variable identity."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        x = deref(x)
-        y = deref(y)
-        if x is y:
-            continue
-        tx = type(x)
-        if tx is not type(y):
-            return False
-        if tx is Var or tx is Atom:
-            return False
-        if tx is Int:
-            if x.value != y.value:
+    variable identity.
+
+    Walks the two terms as `unify` does: arguments left to right in place,
+    the rest stacked, so the first difference answers at once and no pair
+    list is made per compound."""
+    stack = None
+    while True:
+        while type(a) is Var and a.ref is not None:
+            a = a.ref
+        while type(b) is Var and b.ref is not None:
+            b = b.ref
+        if a is not b:
+            ta = type(a)
+            tb = type(b)
+            if (
+                ta is Struct
+                and tb is Struct
+                and a.functor is b.functor
+                and len(aa := a.args) == len(ba := b.args)
+            ):
+                n = len(aa)
+                if n:
+                    if n == 2:
+                        if stack is None:
+                            stack = [(aa[1], ba[1])]
+                        else:
+                            stack.append((aa[1], ba[1]))
+                    elif n > 2:
+                        if stack is None:
+                            stack = list(zip(aa[:0:-1], ba[:0:-1]))
+                        else:
+                            stack.extend(zip(aa[:0:-1], ba[:0:-1]))
+                    a = aa[0]
+                    b = ba[0]
+                    continue
+            # any other meeting differs but that of two equal integers
+            elif ta is not Int or tb is not Int or a.value != b.value:
                 return False
-            continue
-        if x.functor is not y.functor or len(x.args) != len(y.args):
-            return False
-        stack.extend(zip(x.args, y.args))
-    return True
+        if not stack:
+            return True
+        a, b = stack.pop()
 
 
 def make_list(items, tail=NIL):

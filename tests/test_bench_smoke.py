@@ -3,9 +3,9 @@ untraced, and every answer check passes. It catches a change that breaks a
 workload's answers or a name the benchmark's tracer wraps.
 
 The traced counts of the single-threaded workloads' smoke ops are pinned
-too, so a change that claims to resolve the same goals the same way has to
-show it. A change that moves a count on purpose updates the pin and says
-why."""
+too, and so is the number of their unifications that succeed, so a change
+that claims to resolve the same goals the same way has to show it. A
+change that moves a count on purpose updates the pin and says why."""
 
 from __future__ import annotations
 
@@ -32,6 +32,9 @@ PINNED = {
     "engines": (480, 547, 414, 364, 99),
     "clause_store": (141, 174, 148, 227, 23),
 }
+# the unifications of the same runs that succeed: a change of walk order
+# must not change which of them do
+UNIFY_SUCCESSES = {"resolve": 82, "engines": 404, "clause_store": 99}
 
 
 def test_bench_smoke_exits_zero():
@@ -62,3 +65,5 @@ def test_traced_smoke_counts_stay_pinned(workload):
     assert proc.returncode == 0, proc.stderr[-2000:]
     metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
     assert tuple(metrics[name] for name in COUNTED) == PINNED[workload]
+    successes = round(metrics["terms.unify_success_ratio"] * metrics["terms.unify_calls"])
+    assert successes == UNIFY_SUCCESSES[workload]

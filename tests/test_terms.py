@@ -222,10 +222,10 @@ def test_failed_unify_restores_every_binding_and_the_trail_length():
     old = Var()
     assert unify(old, Atom("kept"), t)  # an entry from before the call stays
     x, y, z, w = Var(), Var(), Var(), Var()
-    # the pairs are taken from the last argument back, so every binding
-    # below is made before the first arguments clash
-    a = Struct("f", (Atom("a"), Struct("g", (x, Int(1))), y, make_list([z, w])))
-    b = Struct("f", (Atom("b"), Struct("g", (Int(7), Int(1))), Atom("q"), make_list([Int(2), Int(3)])))
+    # the pairs are taken left to right, so every binding below is made
+    # before the last arguments clash
+    a = Struct("f", (Struct("g", (x, Int(1))), y, make_list([z, w]), Atom("a")))
+    b = Struct("f", (Struct("g", (Int(7), Int(1))), Atom("q"), make_list([Int(2), Int(3)]), Atom("b")))
     assert not unify(a, b, t)
     assert all(v.ref is None for v in (x, y, z, w))
     assert t.entries == [old] and deref(old) is Atom("kept")
@@ -233,6 +233,148 @@ def test_failed_unify_restores_every_binding_and_the_trail_length():
     assert not unify(Struct("h", (Int(1), x)), Struct("h", (Int(2), y)), t)
     assert not unify(Struct("h", (Struct("k", (y,)), x)), Struct("h", (Struct("k", (y, y)), z)), t)
     assert all(v.ref is None for v in (x, y, z, w)) and t.entries == [old]
+
+
+class _AppendLog(list):
+    """A trail's entries that log every append."""
+
+    def __init__(self):
+        super().__init__()
+        self.appended = []
+
+    def append(self, v):
+        self.appended.append(v)
+        super().append(v)
+
+
+def test_a_clash_in_the_first_argument_binds_nothing():
+    t = Trail()
+    t.entries = _AppendLog()
+    x, y = Var(), Var()
+    assert not unify(Struct("f", (Atom("a"), x)), Struct("f", (Atom("b"), y)), t)
+    assert t.entries.appended == []
+    assert x.ref is None and y.ref is None
+    # the pairs of a nested compound come before its parent's later ones
+    assert not unify(Struct("f", (Struct("g", (Int(1),)), x)), Struct("f", (Struct("g", (Int(2),)), y)), t)
+    assert t.entries.appended == []
+
+
+def test_a_zero_argument_compound_unifies_with_an_equal_one():
+    f0, g0 = Struct("f", ()), Struct("g", ())
+    t = Trail()
+    assert unify(f0, Struct("f", ()), t) and term_equal(f0, Struct("f", ()))
+    assert not unify(f0, g0, t) and not term_equal(f0, g0)
+    assert not unify(f0, Struct("f", (Atom("a"),)), t)
+    assert not term_equal(f0, Struct("f", (Atom("a"),)))
+    assert not term_equal(Struct("f", (Atom("a"),)), f0)
+    # as an argument, the walk goes on to the pairs after it
+    x = Var()
+    assert unify(Struct("h", (f0, x)), Struct("h", (Struct("f", ()), Atom("a"))), t)
+    assert deref(x) is Atom("a") and t.entries == [x]
+    assert term_equal(Struct("h", (f0, x)), Struct("h", (Struct("f", ()), Atom("a"))))
+
+
+class _Cyclic(Exception):
+    pass
+
+
+def _occurs(v, t) -> bool:
+    t = deref(t)
+    if t is v:
+        return True
+    return type(t) is Struct and any(_occurs(v, x) for x in t.args)
+
+
+def _reference_unify(a, b) -> bool:
+    """Recursive unification, arguments left to right. Raises _Cyclic where
+    a binding would build a cyclic term, so that the pair can be left out."""
+    a, b = deref(a), deref(b)
+    if a is b:
+        return True
+    if type(b) is Var:
+        a, b = b, a
+    if type(a) is Var:
+        if _occurs(a, b):
+            raise _Cyclic
+        a.ref = b
+        return True
+    if type(a) is not type(b) or type(a) is Atom:
+        return False
+    if type(a) is Int:
+        return a.value == b.value
+    return (
+        a.functor is b.functor
+        and len(a.args) == len(b.args)
+        and all(_reference_unify(x, y) for x, y in zip(a.args, b.args))
+    )
+
+
+def _reference_equal(a, b) -> bool:
+    a, b = deref(a), deref(b)
+    if a is b:
+        return True
+    if type(a) is not type(b) or type(a) in (Var, Atom):
+        return False
+    if type(a) is Int:
+        return a.value == b.value
+    return (
+        a.functor is b.functor
+        and len(a.args) == len(b.args)
+        and all(_reference_equal(x, y) for x, y in zip(a.args, b.args))
+    )
+
+
+def _gen(rng, depth, pool):
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.choice(pool)
+        return Atom(rng.choice("ab")) if kind == 1 else Int(rng.randrange(3))
+    args = tuple(_gen(rng, depth - 1, pool) for _ in range(rng.randint(1, 5)))
+    return Struct(rng.choice("fg"), args)
+
+
+def _instance(rng, t, depth, pool):
+    """t with some subterms replaced by variables and some variables by
+    terms: it unifies with t unless a shared variable meets two values or
+    would build a cycle."""
+    roll = rng.random()
+    if roll < 0.15:
+        return rng.choice(pool)
+    if type(t) is Var:
+        return _gen(rng, depth, pool) if roll < 0.6 else t
+    if type(t) is Struct:
+        return Struct(t.functor, tuple(_instance(rng, x, depth - 1, pool) for x in t.args))
+    return t
+
+
+def test_unify_and_term_equal_agree_with_a_recursive_reference():
+    rng = random.Random(2024)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        pool = [Var() for _ in range(6)]
+        a = _gen(rng, 4, pool)
+        b = _instance(rng, a, 4, pool) if rng.random() < 0.5 else _gen(rng, 4, pool)
+        ref = copy_term(Struct("p", (a, b)))
+        assert _reference_equal(a, b) == term_equal(a, b)
+        try:
+            expected = _reference_unify(ref.args[0], ref.args[1])
+        except _Cyclic:
+            continue
+        t = Trail()
+        old = Var()
+        assert unify(old, Atom("kept"), t)
+        mark = t.mark()
+        assert unify(a, b, t) is expected
+        outcomes[expected] += 1
+        if expected:
+            assert term_equal(a, b)
+            assert variant(Struct("p", (a, b)), ref)
+        else:
+            assert all(v.ref is None for v in pool)
+            assert t.mark() == mark and t.entries == [old]
+        assert _reference_equal(a, b) == term_equal(a, b)
+    assert min(outcomes.values()) > 120, outcomes
 
 
 def test_unify_binds_the_younger_variable_to_the_older():
