@@ -9,7 +9,7 @@ on the session's diagnostic channel.
 
 from __future__ import annotations
 
-from .machine import EXHAUSTED, NO, Machine, builtin, handle_id
+from .machine import EXHAUSTED, NO, Machine, builtin, handle_id, new
 from .terms import Atom, Struct, unify
 
 
@@ -25,7 +25,11 @@ _ATOM_NO = Atom("no")
 @builtin("get", 2)
 def _bi_get(m, args, rest):
     ans = m.session.get_by_id(handle_id(args[0], Machine))
-    t = _ATOM_NO if ans is NO else Struct(_THE, (ans.value,))
+    if ans is NO:
+        return unify(args[1], _ATOM_NO, m.trail)
+    t = new(Struct)
+    t.functor = _THE
+    t.args = (ans.value,)
     return unify(args[1], t, m.trail)
 
 

@@ -19,23 +19,30 @@ internal records too: a body cut carries its clause's barrier, the goal
 below a query's goal hands out its answer, and an answered machine is left
 a fail goal, so resuming it backtracks into its choice points.
 
-A clause entry backtracks shallowly: it tries its candidates' heads in
-order, undoing each one that fails, and makes a choice point only when a
-head matches and candidates remain; the last candidate runs without one.
-When a clause run without one has a body that starts with a call of the
-same record, the entry goes on with that call instead of returning it to
-the run loop, so app/3 over a list, or member/2's scan for an element
-further down its list, is one entry call.
+A clause is tried by Python code generated for it, in the spirit of the
+WAM's get/unify/put instructions: the code unifies the head with the
+goal's arguments, with a test specialised to each head node, and pushes
+the body onto the goal chain. Clause selection is generated too, as the
+WAM's try_me_else/retry_me_else/trust_me sequences: each list of candidate
+clauses the first-argument index can select gets one function, its entry,
+with the candidates' head code inline, in order. An entry backtracks
+shallowly: it tries the heads in order, undoing each one that fails, and
+makes a choice point only when a head matches and candidates remain; the
+last candidate runs without one. When the clause run without one has a
+body that starts with a call of the same record, the entry hands that
+call's arguments back to the record's fn, which selects the next list and
+runs its entry in the same loop, so app/3 over a list, or member/2's scan
+for an element further down its list, is one call of fn. Database.lookup
+still selects the list, once per predicate call, calls run in place
+included, because that is where the benchmark's tracer counts predicate
+calls; a choice point tries the later candidates through each clause's
+own function, Clause.run.
 
-A clause is tried by one Python function generated for it, in the spirit
-of the WAM's get/unify/put instructions: the function unifies the head
-with the goal's arguments, with a test specialised to each head node, and
-returns the goal chain with the body pushed. It is generated the first
-time the clause is tried, so loading a program compiles nothing and a
-clause never called costs nothing. Its source names every term and record
-as a closure value, so what it compiles to is kept for the process in a
-least-recently-used cache of 512 sources: another session over the same
-program compiles nothing.
+Code is generated the first time it is run, so loading a program compiles
+nothing and a predicate never called costs nothing. Its source names every
+term and record as a parameter default bound when the code is made, so
+what it compiles to is kept for the process in a least-recently-used cache
+of 512 sources: another session over the same program compiles nothing.
 
 A fault is one MachineError: a builtin raises it, and resume kills the
 machine and returns the same instance as its event. A machine's mailbox,
@@ -161,7 +168,9 @@ class Clause:
     def source(self) -> tuple[str, list]:
         """The source of a function make(k0, k1, ...) that returns run, and
         the values to call it with: the terms and records run uses."""
-        src = _ClauseSource(self)
+        src = _Source("args, trail, rest, barrier")
+        code = _ClauseCode(src, self, 2, "return False")
+        code.emit(0, f"return {code.body(self.body)}")
         return src.text(), src.values()
 
     def compile(self):
@@ -190,39 +199,31 @@ def _make(name: str, text: str):
 new = object.__new__  # generated code makes a Struct without running __init__
 
 
-class _ClauseSource:
-    """The source of one clause's run function.
+class _OverBudget(Exception):
+    """Raised by _Source.emit past its line limit."""
 
-    Every term and record reaches the function as a closure value k<n>;
-    the source names nothing else but numbered temporaries and this
-    module's globals, so no clause text can end up in it. Each template
-    node adds a few lines, nested at most three blocks deep in run whatever
-    the depth of its term, so the source is linear in the clause and meets
-    none of the compiler's nesting limits.
 
-    The head is matched in pre-order. A compound's goal subterm is checked
-    and its arguments are unpacked into the temporaries of the steps below
-    it. Where that subterm is an unbound variable, or the compound lies
-    inside one being built, the compound is built instead: its arguments'
-    first slot occurrences get new variables, the steps below it see None
-    and skip, and a closing step after them makes the Struct and binds the
-    goal variable to it.
-    """
+class _Source:
+    """Generated source: a function make(k0, k1, ...) that defines a
+    function run(params) and returns it, and the values to call make with.
 
-    def __init__(self, cl: Clause):
+    Every term and record reaches the function as k<n>, a default of run's
+    parameters that make binds: a made function is one object and its
+    defaults tuple, with no cell per value. The source names nothing else
+    but numbered temporaries, its own locals and this module's globals, so
+    no clause text can end up in it. emit raises _OverBudget once the body
+    passes limit lines, if one is set."""
+
+    def __init__(self, params: str, limit: int | None = None):
+        self.params = params
+        self.limit = limit
         self.lines: list[str] = []
         self.consts: dict[int, tuple[str, object]] = {}  # id -> (name, value)
-        self.ntemps = 0
-        self.built: dict[int, str] = {}  # id of a compound template -> its Struct's name
-        self.first = _first_occurrences(cl.args)
-        self.head(cl.args)
-        self.body(cl.body)
 
     def text(self) -> str:
-        names = ", ".join(name for name, _ in self.consts.values())
-        return "\n".join(
-            [f"def make({names}):", "    def run(args, trail, rest, barrier):", *self.lines, "    return run", ""]
-        )
+        names = [name for name, _ in self.consts.values()]
+        params = ", ".join([self.params, *(f"{k}={k}" for k in names)])
+        return "\n".join([f"def make({', '.join(names)}):", f"    def run({params}):", *self.lines, "    return run", ""])
 
     def values(self) -> list:
         return [value for _, value in self.consts.values()]
@@ -233,8 +234,42 @@ class _ClauseSource:
             entry = self.consts[id(value)] = (f"k{len(self.consts)}", value)
         return entry[0]
 
+    def emit(self, indent: int, line: str) -> None:
+        self.lines.append("    " * indent + line)
+        if self.limit is not None and len(self.lines) > self.limit:
+            raise _OverBudget
+
+
+class _ClauseCode:
+    """One clause's head match and body pushes, written into a _Source at
+    an indent, with fail as the statement a failed match runs.
+
+    Each template node adds a few lines, nested at most three blocks deep
+    below the indent whatever the depth of its term, so the source is
+    linear in the clause and meets none of the compiler's nesting limits.
+
+    The head is matched in pre-order. A compound's goal subterm is checked
+    and its arguments are unpacked into the temporaries of the steps below
+    it. Where that subterm is an unbound variable, or the compound lies
+    inside one being built, the compound is built instead: its arguments'
+    first slot occurrences get new variables, the steps below it see None
+    and skip, and a closing step after them makes the Struct and binds the
+    goal variable to it.
+    """
+
+    def __init__(self, src: _Source, cl: Clause, indent: int, fail: str, keyed: bool = False):
+        self.src = src
+        self.const = src.const
+        self.indent = indent
+        self.fail = fail
+        self.ntemps = 0
+        self.built: dict[int, str] = {}  # id of a compound template -> its Struct's name
+        self.first = _first_occurrences(cl.args)
+        self.assigned = set(self.first)  # slots that hold a value
+        self.head(cl.args, keyed)
+
     def emit(self, depth: int, line: str) -> None:
-        self.lines.append("    " * (depth + 2) + line)
+        self.src.emit(self.indent + depth, line)
 
     def bind(self, depth: int, name: str, value: str) -> None:
         """Bind the unbound variable name to value, trailed as bind trails."""
@@ -274,12 +309,26 @@ class _ClauseSource:
                 steps.append((names[-1], t))
         return names, firsts, steps
 
-    def head(self, tpls) -> None:
+    def head(self, tpls, keyed: bool) -> None:
+        """keyed: the goal's first argument is bound to a term with the key
+        of tpls[0], when that is not a slot, as lookup selected it. It
+        relies on freeze keying templates as lookup keys terms; leaving the
+        test out measured 3-4% of resolve's ops_per_s."""
         names, _, steps = self.unpacked(None, tpls)
         if names:
             self.emit(0, f"{', '.join(names)}, = args")
-        # (temporary, template, is a head argument, is a closing step)
+        # (temporary, template, holds a goal subterm, is a closing step):
+        # the temporary of a step that does not hold one may be None
         work = [(name, t, True, False) for name, t in reversed(steps)]
+        if keyed and type(tpls[0]) in (Atom, tuple):
+            # an atom matches already; a compound has its functor and arity
+            name, t, _, _ = work.pop()
+            if type(t) is tuple:
+                self.emit(0, f"while type({name}) is Var:")
+                self.emit(1, f"{name} = {name}.ref")
+                names, _, steps = self.unpacked(id(t), t[1])
+                self.emit(0, f"{', '.join(names)}, = {name}.args")
+                work.extend((n, a, True, False) for n, a in reversed(steps))
         while work:
             name, t, root, closing = work.pop()
             if closing:
@@ -292,7 +341,7 @@ class _ClauseSource:
             live = "" if root else f"{name} is not None and "  # None: inside a built compound
             if type(t) is VarSlot:  # a later occurrence
                 self.emit(0, f"if {live}not unify(v{t.index}, {name}, trail):")
-                self.emit(1, "return False")
+                self.emit(1, self.fail)
                 continue
             self.emit(0, f"while type({name}) is Var and {name}.ref is not None:")
             self.emit(1, f"{name} = {name}.ref")
@@ -308,7 +357,7 @@ class _ClauseSource:
                 self.emit(0, f"elif {live}{name} is not {k}:")
             else:  # an integer or a ground compound
                 self.emit(0, f"elif {live}not unify({k}, {name}, trail):")
-            self.emit(1, "return False")
+            self.emit(1, self.fail)
 
     def open(self, name: str, t, root: bool) -> list:
         """A compound's check: unpack a matching goal subterm, or start
@@ -330,34 +379,39 @@ class _ClauseSource:
         elif not firsts:
             self.emit(1, "pass")
         self.emit(0, "else:")
-        self.emit(1, "return False")
+        self.emit(1, self.fail)
         return steps
 
     # -- body ----------------------------------------------------------------
 
-    def body(self, goals) -> None:
-        """Push the goals from the last to the first, each with its
-        argument tuple built; a slot the head did not bind gets a new
-        variable where it is first met."""
-        assigned = set(self.first)
+    def body(self, goals) -> str:
+        """Push goals onto rest from the last to the first, each with its
+        argument tuple built, and return the name of the chain; a slot the
+        head did not bind gets a new variable where it is first met."""
         chain = "rest"
         for pred, args in reversed(goals):
             if args is None:  # a cut carries its clause's barrier
                 goal = f"({self.const(pred)}, barrier)"
-            elif not any(type(a) in (VarSlot, tuple) for a in args):
+            elif _ground(args):
                 goal = self.const((pred, args))
             else:
-                parts = [self.build(a, assigned) for a in args]
-                goal = f"({self.const(pred)}, ({', '.join(parts)},))"
+                goal = f"({self.const(pred)}, {self.arguments(args)})"
             self.emit(0, f"g = {goal}, {chain}")
             chain = "g"
-        self.emit(0, f"return {chain}")
+        return chain
 
-    def build(self, tpl, assigned: set) -> str:
+    def arguments(self, args) -> str:
+        """Emit the statements that build an argument tuple; return it."""
+        if _ground(args):
+            return self.const(args)
+        return f"({', '.join(self.build(a) for a in args)},)"
+
+    def build(self, tpl) -> str:
         """Emit the statements that build tpl and return its name: new
         variables in pre-order, then the Structs bottom-up."""
         if type(tpl) is not VarSlot and type(tpl) is not tuple:
             return self.const(tpl)
+        assigned = self.assigned
         work = [tpl]
         while work:
             t = work.pop()
@@ -378,6 +432,10 @@ class _ClauseSource:
                 work.append((t, True))
                 work.extend((a, False) for a in t[1] if type(a) is tuple)
         return self.built[id(tpl)]
+
+
+def _ground(tpls) -> bool:
+    return not any(type(t) is VarSlot or type(t) is tuple for t in tpls)
 
 
 def _first_occurrences(tpls) -> dict:
@@ -476,12 +534,14 @@ class Pred:
     precedence over clauses (None if there are none); otherwise link()
     makes the record a ClausePred or an UnknownPred as the database
     freezes. Their fn is a method, so a record never refers to itself and
-    is freed with its session. A ClausePred's entry makes a choice point
-    only once a head matches with candidates left, runs its calls of
-    itself in place while each reaches its last candidate, and still asks
-    Database.lookup once per call. index holds the first-argument index
-    once the database freezes: (clauses per first-argument key, clauses
-    with a variable first argument)."""
+    is freed with its session. A ClausePred's fn asks Database.lookup for
+    a call's Candidates and runs their generated entry, and runs a call of
+    itself that an entry hands back the same way, in place. clauses is the
+    Candidates of all the clauses, in source order (None if there are
+    none). As the database freezes, index is set to the first-argument
+    index of a predicate of two or more clauses whose first arguments are
+    not all variables: (Candidates per first-argument key, Candidates of
+    the clauses with a variable first argument)."""
 
     __slots__ = ("key", "clauses", "index", "fn")
 
@@ -500,52 +560,30 @@ class ClausePred(Pred):
     __slots__ = ()
 
     def fn(self, m: "Machine", args, rest):
-        """Run a call's candidate clauses with shallow backtracking. Their
-        heads are tried in order under a new trail stamp, each failed one
-        undone to the mark taken on entry, and a ClauseCP over the
-        candidates left is made only when one matches. The last candidate
-        runs without a choice point, trailed against the older ones only,
-        as ClauseCP.retry runs it; when no head matches, the call fails
-        without one. While the clause run that way has a body that starts
-        with a call of this record, that call, which the machine would run
-        next, runs here in place. A fact hands back its caller's
-        continuation, and that goes back to _run: _run still holds the
-        chain it called with, so running on into it here would keep every
-        goal done meanwhile alive."""
+        """Run a call: ask Database.lookup for its Candidates and run their
+        entry. When the entry hands back the arguments of a call of this
+        record, whose continuation it left in m.goals, that call runs here
+        in place: lookup again, and the entry of the Candidates it returns.
+        An entry hands a call back only from the clause it runs without a
+        choice point, the one candidate or the last, and only where that
+        clause's body starts with a call of this record, so app/3 over a
+        list is one call of fn.
+
+        lookup stays the one place a call selects its clauses, asked once
+        per call, looped calls included: the benchmark's tracer counts
+        predicate calls by wrapping it, so it stays until that count is
+        taken elsewhere. A fact's entry hands back its
+        caller's continuation, and that goes back to _run: _run still holds
+        the chain it called with, so running on into it here would keep
+        every goal done meanwhile alive."""
         lookup = m.db.lookup  # read through the class: a tracer may wrap it
-        trail = m.trail
         barrier = len(m.cps)  # it holds in the loop: a choice point ends it
         while True:
-            clauses = lookup(self, args)
-            if len(clauses) == 1:
-                cl = clauses[0]
-            elif clauses:
-                # the stamp is the choice point's if a head matches: the
-                # bindings of older variables are trailed against it
-                mark = len(trail.entries)
-                outer = trail.boundary
-                trail.boundary = stamp = next_stamp()
-                last = len(clauses) - 1
-                for i in range(last):
-                    cl = clauses[i]
-                    goals = (cl.run or cl.compile())(args, trail, rest, barrier)
-                    if goals is not False:
-                        m.cps.append(ClauseCP(args, rest, clauses, i + 1, mark, barrier, stamp))
-                        m.goals = goals
-                        return None
-                    trail.undo_to(mark)
-                trail.boundary = outer
-                cl = clauses[last]
-            else:
-                return False
-            goals = (cl.run or cl.compile())(args, trail, rest, barrier)
-            if goals is False:
-                return False
-            if goals is rest or goals[0][0] is not self:
-                m.goals = goals
-                return None
-            goal, rest = goals
-            args = goal[1]
+            candidates = lookup(self, args)
+            args = (candidates.run or candidates.compile(self))(m, args, rest, barrier)
+            if args is None or args is False:
+                return args
+            rest = m.goals
 
 
 class UnknownPred(Pred):
@@ -554,6 +592,131 @@ class UnknownPred(Pred):
     def fn(self, m, args, rest):
         name, arity = self.key
         raise MachineError("unknown_predicate", Struct("/", (name, Int(arity))))
+
+
+# the most lines an entry's source has: past them, it tries its clauses
+# through their Clause.run
+_ENTRY_LINES = 300
+
+
+class Candidates(list):
+    """A list of clauses Database.lookup can return, in source order, and
+    its entry, generated on the list's first selection: run(m, args, rest,
+    barrier), None until then. A record's clauses are one, and freeze makes
+    the index's; being the list itself, it costs no object beside it.
+
+    In the manner of the WAM's try_me_else/retry_me_else/trust_me
+    sequence, the entry holds its clauses' head code inline, in order, and
+    backtracks shallowly: under a new trail stamp it tries each head but the last,
+    undoing a failed one to the mark taken on entry, and makes a ClauseCP
+    over the same list only when one matches. The last candidate runs
+    without a choice point, trailed against the older ones only, as
+    ClauseCP.retry runs it; when no head matches the entry returns False
+    without one. A matched head's body is pushed onto rest as the machine's
+    goals and the entry returns None, except where the clause runs without
+    a choice point and its body starts with a call of the same record: then
+    the rest of the body goes onto rest, left in m.goals, and the entry
+    returns that call's argument tuple, with no goal cell made for it. A
+    keyed list, which lookup selects only for a first argument of its key,
+    leaves that argument's functor or atom test out of its heads.
+
+    When the inlined heads would take the source past _ENTRY_LINES, the
+    entry instead tries every candidate through its Clause.run in a loop,
+    with the same choice points and in-place rule, so a long predicate, or
+    a clause with a huge head, never makes one huge function. The source
+    names every term, record and list as a value make binds, and goes
+    through the same cache as clause sources."""
+
+    __slots__ = ("keyed", "run")
+
+    def __init__(self, keyed: bool = False):  # an empty list
+        self.keyed = keyed
+        self.run = None
+
+    def source(self, pred: Pred) -> tuple[str, list]:
+        """The source of the entry of pred's calls that select this list,
+        and the values to call its make with."""
+        if not self:
+            src = _Source("m, args, rest, barrier")
+            src.emit(2, "return False")
+            return src.text(), src.values()
+        src = _Source("m, args, rest, barrier", _ENTRY_LINES - 3)  # make's own three
+        try:
+            self.start(src)
+            for i in range(len(self)):
+                self.inline(src, i, pred)
+        except _OverBudget:
+            src = _Source("m, args, rest, barrier")
+            self.start(src)
+            self.loop(src, pred)
+        return src.text(), src.values()
+
+    def start(self, src: _Source) -> None:
+        src.emit(2, "trail = m.trail")
+        if len(self) > 1:
+            # the stamp is the choice point's if a head matches: the
+            # bindings of older variables are trailed against it
+            src.emit(2, "mark = len(trail.entries)")
+            src.emit(2, "outer = trail.boundary")
+            src.emit(2, "trail.boundary = stamp = next_stamp()")
+
+    def inline(self, src: _Source, i: int, pred: Pred) -> None:
+        """Emit the try of candidate i's head and what follows its match."""
+        cl = self[i]
+        last = len(self) - 1
+        if i < last:
+            src.emit(2, "while True:")  # a failed match breaks out
+            code = _ClauseCode(src, cl, 3, "break", self.keyed)
+            chain = code.body(cl.body)
+            code.emit(0, f"m.cps.append(ClauseCP(args, rest, {src.const(self)}, {i + 1}, mark, barrier, stamp))")
+            code.emit(0, f"m.goals = {chain}")
+            code.emit(0, "return None")
+            src.emit(2, "trail.undo_to(mark)")
+            return
+        if last:
+            src.emit(2, "trail.boundary = outer")
+        code = _ClauseCode(src, cl, 2, "return False", self.keyed)
+        body = cl.body
+        if body and body[0][0] is pred:
+            chain = code.body(body[1:])
+            call = code.arguments(body[0][1])
+            code.emit(0, f"m.goals = {chain}")
+            code.emit(0, f"return {call}")
+        else:
+            code.emit(0, f"m.goals = {code.body(body)}")
+            code.emit(0, "return None")
+
+    def loop(self, src: _Source, pred: Pred) -> None:
+        """Emit the tries of every candidate through its Clause.run."""
+        last = len(self) - 1
+        if last:
+            k = src.const(self)
+            src.emit(2, f"for i in range({last}):")
+            src.emit(3, f"cl = {k}[i]")
+            src.emit(3, "goals = (cl.run or cl.compile())(args, trail, rest, barrier)")
+            src.emit(3, "if goals is not False:")
+            src.emit(4, f"m.cps.append(ClauseCP(args, rest, {k}, i + 1, mark, barrier, stamp))")
+            src.emit(4, "m.goals = goals")
+            src.emit(4, "return None")
+            src.emit(3, "trail.undo_to(mark)")
+            src.emit(2, "trail.boundary = outer")
+        src.emit(2, f"cl = {src.const(self[last])}")
+        src.emit(2, "goals = (cl.run or cl.compile())(args, trail, rest, barrier)")
+        src.emit(2, "if goals is False:")
+        src.emit(3, "return False")
+        src.emit(2, f"if goals is not rest and goals[0][0] is {src.const(pred)}:")
+        src.emit(3, "m.goals = goals[1]")
+        src.emit(3, "return goals[0][1]")
+        src.emit(2, "m.goals = goals")
+        src.emit(2, "return None")
+
+    def compile(self, pred: Pred):
+        """Generate run for pred, keep it, and return it, as Clause.compile
+        does. A clause is compiled only when something calls its own run."""
+        text, values = self.source(pred)
+        name, arity = pred.key
+        self.run = run = _make(f"<{name.name}/{arity} entry>", text)(*values)
+        return run
 
 
 class Database:
@@ -579,7 +742,7 @@ class Database:
         cl = compile_clause(head, body, self, origin)
         p = self.pred(cl.key)
         if p.clauses is None:
-            p.clauses = []
+            p.clauses = Candidates()
         p.clauses.append(cl)
 
     def include(self, other: "Database") -> None:
@@ -597,7 +760,7 @@ class Database:
             if p.clauses is None:
                 continue
             if mine.clauses is None:
-                mine.clauses = []
+                mine.clauses = Candidates()
             for cl in p.clauses:
                 body = tuple((self.pred(q.key) if theirs.get(q.key) is q else q, a) for q, a in cl.body)
                 mine.clauses.append(Clause(cl.key, cl.args, body, cl.origin))
@@ -610,7 +773,7 @@ class Database:
             if clauses is None or len(clauses) < 2 or p.key[1] == 0:
                 continue
             table: dict = {}
-            unkeyed: list[Clause] = []
+            unkeyed = Candidates()
             for cl in clauses:
                 t = cl.args[0]  # a template, keyed as lookup keys a term
                 tt = type(t)
@@ -627,10 +790,11 @@ class Database:
                     k = t.value
                 else:  # an atom
                     k = t
-                if k in table:
-                    table[k].append(cl)
-                else:
-                    table[k] = unkeyed + [cl]
+                candidates = table.get(k)
+                if candidates is None:
+                    candidates = table[k] = Candidates(True)
+                    candidates += unkeyed
+                candidates.append(cl)
             if table:
                 p.index = (table, unkeyed)
 
@@ -658,11 +822,11 @@ class Database:
         return p, args
 
     def lookup(self, pred: Pred, args):
-        """Clauses that may match a call of a predicate with clauses, in
-        source order; its clause entry asks once per call. A bound first
-        argument selects only the clauses whose first argument has its key
-        (the atom itself, the integer's value, or functor and arity) or is
-        a variable."""
+        """The Candidates of a call of a predicate with clauses: the
+        clauses that may match it, in source order. Its ClausePred.fn asks
+        once per call. A bound first argument selects only the clauses
+        whose first argument has its key (the atom itself, the integer's
+        value, or functor and arity) or is a variable."""
         index = pred.index
         if index is None:
             return pred.clauses
@@ -784,7 +948,10 @@ class Handle:
     def term(self) -> Struct:
         i = Int(self.id)
         i.owner = self
-        return Struct(self.FUNCTOR, (i,))
+        t = new(Struct)
+        t.functor = self.FUNCTOR
+        t.args = (i,)
+        return t
 
     def __repr__(self):
         return f"{type(self).__name__}({self.id})"
@@ -831,8 +998,7 @@ class Machine(Handle):
             raise MachineError("type_error", g)
         self.session = session
         self.db = db = session.db  # read on the hot path
-        self.trail = Trail()
-        self.trail.boundary = 0  # no choice points yet: trail nothing
+        self.trail = Trail(0)  # no choice points yet: trail nothing
         if goal is pattern:  # new_engine(G,G,E), as if/3 and catch/3 boot
             self.pattern = g = copy_term(g)
         else:

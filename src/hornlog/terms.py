@@ -118,9 +118,9 @@ class Trail:
 
     __slots__ = ("entries", "boundary")
 
-    def __init__(self):
+    def __init__(self, boundary: float = float("inf")):
         self.entries: list[Var] = []
-        self.boundary: float = float("inf")
+        self.boundary = boundary
 
     def mark(self) -> int:
         return len(self.entries)
@@ -213,17 +213,19 @@ def copy_term(t, vmap: dict | None = None):
     anywhere below it, bound or not, is returned as it is: a Struct never
     changes, so sharing it is as good as a copy. Assumes an acyclic term.
     """
-    if vmap is None:
-        vmap = {}
     t = deref(t)
     tt = type(t)
     if tt is Var:
+        if vmap is None:
+            return Var()
         c = vmap.get(t)
         if c is None:
             c = vmap[t] = Var()
         return c
     if tt is not Struct:
         return t
+    if vmap is None:
+        vmap = {}
     # explicit stack, one frame per open compound: runtime lists can be
     # deeper than the host recursion limit
     new = object.__new__

@@ -39,10 +39,14 @@ def test_a_second_session_over_a_program_compiles_nothing(monkeypatch):
     second = Session(text=NREV)
     assert answers_str(second, "R", "nrev([1,2,3],R)") == ["[3,2,1]"]
     assert names == []
-    # a source not seen before is compiled, through the counted name
+    # the second session has entries of its own, made from cached code
+    entries = [c for c in second.db.pred((Atom("app"), 3)).index[0].values()]
+    assert all(c.run is not None for c in entries)
+    # a source not seen before is compiled, through the counted name: the
+    # entry's, which holds the clause's head inline
     probe = Session(text="cache_probe(X):-X=1.\n", prelude=False)
     assert answers_str(probe, "X", "cache_probe(X)") == ["1"]
-    assert names == ["<cache_probe/1 at <text>:1>"]
+    assert names == ["<cache_probe/1 entry>"]
 
 
 def test_shared_code_keeps_each_clauses_name_and_values():
@@ -50,10 +54,14 @@ def test_shared_code_keeps_each_clauses_name_and_values():
     two = Session(text=NREV, prelude=False)
     assert answers_str(one, "R", "nrev([1,2],R)") == ["[2,1]"]
     assert answers_str(two, "R", "nrev([a,b],R)") == ["[b,a]"]
-    runs = [[cl.run for cl in s.db.pred((Atom("app"), 3)).clauses] for s in (one, two)]
+    runs = [
+        [c.run for c in s.db.pred((Atom("app"), 3)).index[0].values()]
+        + [cl.compile() for cl in s.db.pred((Atom("app"), 3)).clauses]
+        for s in (one, two)
+    ]
     files = [[run.__code__.co_filename for run in rs] for rs in runs]
-    assert files == [["<app/3 at <text>:4>", "<app/3 at <text>:5>"]] * 2
-    # one code object, a run of its own per session: the closure holds the
+    assert files == [["<app/3 entry>", "<app/3 entry>", "<app/3 at <text>:4>", "<app/3 at <text>:5>"]] * 2
+    # one code object, a run of its own per session: its defaults hold the
     # session's records
     for a, b in zip(*runs):
         assert a is not b and a.__code__ is b.__code__
@@ -76,6 +84,7 @@ def test_the_cache_stays_within_its_bound_and_holds_only_code(monkeypatch):
         assert s.first("X", f"bounded_{i}(X)").value == i
         return s
 
+    # a session's first call compiles one source, its entry's
     for i in range(bound + 20):
         run(i)
         assert machine._make.cache_info().currsize <= bound
@@ -89,10 +98,15 @@ def test_the_cache_stays_within_its_bound_and_holds_only_code(monkeypatch):
     run(20)
     assert names == []
     s = run(21)
-    assert names == ["<bounded_21/1 at <text>:1>"]
+    assert names == ["<bounded_21/1 entry>"]
+    p = s.db.pred((Atom("bounded_21"), 1))
+    (cl,) = p.clauses
+    cl.compile()
+    assert names == ["<bounded_21/1 entry>", "<bounded_21/1 at <text>:1>"]
     # a make is code and this module's globals; the terms and records come
-    # in as its arguments and live in the closure of the run it returns
-    cl = s.db.pred((Atom("bounded_21"), 1)).clauses[0]
-    make = machine._make(names[0], cl.source()[0])
-    assert make.__closure__ is None and make.__globals__ is vars(machine)
-    assert cl.run.__code__ in make.__code__.co_consts
+    # in as its arguments and are the defaults of the run it returns
+    for name, (text, values), run in zip(names, [p.clauses.source(p), cl.source()], [p.clauses.run, cl.run]):
+        make = machine._make(name, text)
+        assert make.__closure__ is None and make.__globals__ is vars(machine)
+        assert run.__code__ in make.__code__.co_consts
+        assert run.__closure__ is None and list(run.__defaults__) == values

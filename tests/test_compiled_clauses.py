@@ -10,6 +10,7 @@ import traceback
 import pytest
 
 from hornlog import Atom, Int, Session, Struct, Var, deref, make_list, parse_term, write_term
+from hornlog import machine
 from hornlog.machine import Database
 
 from conftest import answers_str, list_parts
@@ -26,6 +27,16 @@ def clauses(s: Session, name: str, arity: int):
     return s.db.pred((Atom(name), arity)).clauses
 
 
+def candidate_lists(s: Session):
+    """Every Candidates lookup can return in s, with its record."""
+    for p in s.db._preds.values():
+        if p.clauses is not None:
+            yield p, p.clauses
+        if p.index is not None:
+            yield from ((p, c) for c in p.index[0].values())
+            yield p, p.index[1]
+
+
 # -- compiled on the first call, named after the clause ------------------------
 
 
@@ -33,14 +44,35 @@ def test_session_construction_compiles_no_clause():
     s = Session(text=NREV)
     assert all(cl.run is None for p in s.db._preds.values() for cl in p.clauses or ())
     assert answers_str(s, "R", "nrev([1,2,3],R)") == ["[3,2,1]"]
-    assert all(cl.run is not None for cl in clauses(s, "app", 3) + clauses(s, "nrev", 2))
-    assert all(cl.run is None for cl in clauses(s, "member", 2))
+    # the entries these calls select hold every head they try inline
+    assert all(cl.run is None for cl in clauses(s, "app", 3) + clauses(s, "nrev", 2))
+    # a choice point retries its next clause through that clause's run,
+    # compiled on the retry
+    assert answers_str(s, "X", "member(X,[a,b])") == ["a", "b"]
+    assert [cl.run is None for cl in clauses(s, "member", 2)] == [True, False]
+
+
+def test_session_construction_compiles_no_entry():
+    s = Session(text=NREV)
+    assert all(c.run is None for _, c in candidate_lists(s))
+    assert answers_str(s, "R", "nrev([1,2,3],R)") == ["[3,2,1]"]
+    # the lists of a bound first argument, [] or [_|_], of nrev/2 and app/3
+    made = [(p, c) for p, c in candidate_lists(s) if c.run is not None]
+    assert sorted((p.key[0].name, c.keyed, len(c)) for p, c in made) == [
+        ("app", True, 1),
+        ("app", True, 1),
+        ("nrev", True, 1),
+        ("nrev", True, 1),
+    ]
+    assert {c.run.__code__.co_filename for _, c in made} == {"<app/3 entry>", "<nrev/2 entry>"}
 
 
 def test_generated_code_is_named_after_its_predicate_and_line():
     s = Session(text=NREV, prelude=False)
     assert answers_str(s, "R", "nrev([1,2],R)") == ["[2,1]"]
-    files = [cl.run.__code__.co_filename for cl in clauses(s, "app", 3)]
+    p = s.db.pred((Atom("app"), 3))
+    assert {c.run.__code__.co_filename for c in p.index[0].values()} == {"<app/3 entry>"}
+    files = [cl.compile().__code__.co_filename for cl in p.clauses]
     assert files == ["<app/3 at <text>:4>", "<app/3 at <text>:5>"]
     db = Database()
     db.add(parse_term("late(1)"), parse_term("true"))  # no origin
@@ -96,9 +128,44 @@ def _arity_checks(tree) -> set[int]:
     return ids
 
 
-# names of the generated code besides its numbered temporaries and
-# closure values: its functions and parameters, the goal chain, and globals
+# names of the generated code besides its numbered temporaries and bound
+# values: its functions and parameters, the goal chain, and globals
 IDENTIFIERS = {"make", "run", "args", "trail", "rest", "barrier", "g", "Var", "Struct", "new", "bind", "unify", "len", "type"}
+
+
+def _positions(tree) -> set[int]:
+    """ids of the integer constants an entry passes to ClauseCP or range,
+    or indexes its candidate list or a goal chain with."""
+    ids = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            node = node.slice
+        elif not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("ClauseCP", "range")):
+            continue
+        ids.update(id(a) for a in ast.walk(node) if isinstance(a, ast.Constant) and type(a.value) is int)
+    return ids
+
+
+def assert_holds_no_term(text: str, identifiers: set[str], positions: bool = False) -> None:
+    """text names no term: its only integer constants are arity checks,
+    and with positions, an entry's list and goal-chain positions."""
+    tree = ast.parse(text)
+    ints = _arity_checks(tree) | (_positions(tree) if positions else set())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            assert node.value is None or type(node.value) is bool or id(node) in ints, text
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else node.arg if isinstance(node, ast.arg) else None
+        assert name is None or re.fullmatch(r"[kvab]\d+", name) or name in identifiers, name
+
+
+# an entry's own names besides a clause's
+ENTRY_IDENTIFIERS = IDENTIFIERS | {"m", "mark", "outer", "stamp", "next_stamp", "ClauseCP", "i", "cl", "goals", "range"}
+
+
+def inlines_every_head(text: str) -> bool:
+    """Whether an entry's source holds its heads, not calls of Clause.run."""
+    return "compile" not in text
 
 
 def test_generated_source_of_every_prelude_clause_holds_no_term():
@@ -106,16 +173,19 @@ def test_generated_source_of_every_prelude_clause_holds_no_term():
     count = 0
     for pred in s.db._preds.values():
         for cl in pred.clauses or ():
-            text, values = cl.source()
-            tree = ast.parse(text)
-            arities = _arity_checks(tree)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Constant):
-                    assert node.value is None or type(node.value) is bool or id(node) in arities, text
-            for node in ast.walk(tree):
-                name = node.id if isinstance(node, ast.Name) else node.arg if isinstance(node, ast.arg) else None
-                assert name is None or re.fullmatch(r"[kvab]\d+", name) or name in IDENTIFIERS, name
+            assert_holds_no_term(cl.source()[0], IDENTIFIERS)
             count += 1
+    assert count > 50
+
+
+def test_generated_source_of_every_prelude_entry_holds_no_term():
+    s = Session()
+    count = 0
+    for p, c in candidate_lists(s):
+        text, values = c.source(p)
+        assert_holds_no_term(text, ENTRY_IDENTIFIERS, positions=True)
+        assert inlines_every_head(text)  # within the budget
+        count += 1
     assert count > 50
 
 
@@ -134,6 +204,11 @@ def test_clause_with_a_ten_thousand_element_list_in_the_head():
     elems, tail = list_parts(got)
     assert len(elems) == n and deref(elems[0]).value == 5 and write_term(tail) == "[]"
     assert len({id(deref(e)) for e in elems[1:]}) == n - 1
+    # the entry is past its budget with this head, so it calls the clause's run
+    ((p, entry),) = [(p, c) for p, c in candidate_lists(s) if c.run is not None]
+    text, values = entry.source(p)
+    assert not inlines_every_head(text) and len(text.splitlines()) <= machine._ENTRY_LINES
+    assert_holds_no_term(text, ENTRY_IDENTIFIERS, positions=True)
 
 
 def test_clause_with_a_ten_thousand_element_list_in_the_body():
@@ -145,6 +220,37 @@ def test_clause_with_a_ten_thousand_element_list_in_the_body():
     elems, tail = list_parts(got)
     assert len(elems) == n and write_term(tail) == "[]"
     assert len({id(deref(e)) for e in elems}) == n
+
+
+def test_ten_thousand_facts_called_with_an_unbound_first_argument():
+    n = 10000
+    s = Session(text="".join(f"f({i}).\n" for i in range(n)), prelude=False)
+    assert [v.value for v in s.answers("X", "f(X)")] == list(range(n))
+    assert answers_str(s, "x", f"f({n - 1})") == ["x"]
+    f = s.db.pred((Atom("f"), 1))
+    every = f.clauses
+    text, values = every.source(f)
+    assert not inlines_every_head(text) and len(text.splitlines()) <= machine._ENTRY_LINES
+    assert every.run.__code__.co_filename == "<f/1 entry>"
+    assert_holds_no_term(text, ENTRY_IDENTIFIERS, positions=True)
+
+
+def test_no_entry_passes_the_line_budget():
+    # g<n> has n facts: some fit inline, the rest fall back, one near the edge
+    text = "".join(f"g{n}(k{i},{i}).\n" for n in range(1, 80) for i in range(n))
+    s = Session(text=text, prelude=False)
+    sizes = []
+    for p, c in candidate_lists(s):
+        lines = c.source(p)[0].splitlines()
+        assert len(lines) <= machine._ENTRY_LINES
+        sizes.append((inlines_every_head("\n".join(lines)), len(lines)))
+    assert max(size for inlined, size in sizes if inlined) > machine._ENTRY_LINES - 10
+    assert not all(inlined for inlined, _ in sizes)
+    # past the budget: each head binds the goal's first argument before its
+    # second fails, and is undone
+    g = s.db.pred((Atom("g79"), 2))
+    assert not inlines_every_head(g.clauses.source(g)[0])
+    assert answers_str(s, "X", "g79(X,77)") == ["k77"]
 
 
 # -- clause-try behaviour ------------------------------------------------------

@@ -513,6 +513,20 @@ def test_one_lookup_per_predicate_call_and_one_call_per_builtin():
             assert counts["lookup"] == (n + 1) * (n + 2) // 2
         assert [v.value for v in s.answers("X", "(between(1,5,X),X>2)")] == [3, 4, 5]
         assert counts[">"] == 5 and counts["between"] == 1
+        # a shallow-try scan runs in place past n failed heads: one lookup
+        # a call, the call of member(z,[]) included
+        for n in (0, 1, 10):
+            counts["lookup"] = 0
+            assert s.answers("x", f"member(z,[{','.join('a' * n)}])") == []
+            assert counts["lookup"] == n + 1
+        # a call where every head fails
+        counts["lookup"] = 0
+        assert s.answers("x", "member(z,f)") == []
+        assert counts["lookup"] == 1
+        # calls in place that switch candidate lists: app/3 reaching []
+        counts["lookup"] = 0
+        assert write_term(s.first("R", "app([1,2,3],[4],R)")) == "[1,2,3,4]"
+        assert counts["lookup"] == 4
     finally:
         mach.Database.lookup = saved_lookup
         mach.BUILTINS.clear()
