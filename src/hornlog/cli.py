@@ -147,12 +147,14 @@ def main(argv=None) -> int:
         help="load a source file after the prelude (repeatable)",
     )
     ap.add_argument("--goal", metavar="G", help="run one goal in batch mode and exit")
-    ap.add_argument("--limit", type=int, metavar="N", help="stop after N answers")
+    ap.add_argument("--limit", type=int, metavar="N", help="stop after N answers (N >= 1)")
     ap.add_argument("--trace", action="store_true", help="print engine events one per line")
     ap.add_argument(
         "--extract-prelude", metavar="DIR", help="write the embedded prelude files to DIR"
     )
     args = ap.parse_args(argv)
+    if args.limit is not None and args.limit < 1:
+        ap.error(f"argument --limit: must be at least 1, not {args.limit}")
 
     if args.extract_prelude:
         return extract_prelude(args.extract_prelude)

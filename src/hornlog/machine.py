@@ -25,18 +25,23 @@ goal's arguments, with a test specialised to each head node, and pushes
 the body onto the goal chain. Clause selection is generated too, as the
 WAM's try_me_else/retry_me_else/trust_me sequences: each list of candidate
 clauses the first-argument index can select gets one function, its entry,
-with the candidates' head code inline, in order. An entry backtracks
-shallowly: it tries the heads in order, undoing each one that fails, and
-makes a choice point only when a head matches and candidates remain; the
+with the candidates' code inline, in order. A clause's neck is after the
+leading calls in its body of builtins that can only succeed or fail (=,
+is, var, the arithmetic comparisons and the like), and an entry
+backtracks shallowly up to it: it tries each candidate's head and then
+those guards, undoing a candidate that fails either, and makes a choice
+point only when a candidate passes its neck with candidates left; the
 last candidate runs without one. When the clause run without one has a
-body that starts with a call of the same record, the entry hands that
-call's arguments back to the record's fn, which selects the next list and
-runs its entry in the same loop, so app/3 over a list, or member/2's scan
-for an element further down its list, is one call of fn. Database.lookup
-still selects the list, once per predicate call, calls run in place
-included, because that is where the benchmark's tracer counts predicate
-calls; a choice point tries the later candidates through each clause's
-own function, Clause.run.
+body that starts past its neck with a call of the same record, the entry
+asks Database.lookup for that call and goes round again while lookup
+selects the same list; for another list it hands the list and the call's
+arguments back to the record's fn, which runs that list's entry in the
+same loop. So app/3 over a list, member/2's scan for an element further
+down its list, or a countdown guarded by N>0, is one call of fn.
+Database.lookup still selects the list, once per predicate call, calls
+run in place included, because that is where the benchmark's tracer
+counts predicate calls; a choice point tries the later candidates through
+each clause's own function, Clause.run, which runs the same guards.
 
 Code is generated the first time it is run, so loading a program compiles
 nothing and a predicate never called costs nothing. Its source names every
@@ -150,10 +155,13 @@ class Clause:
     record it calls and its argument templates. A cut has args None: it is
     pushed with its clause's barrier as its argument.
 
-    run(args, trail, rest, barrier), made by compile() and None until then,
-    unifies the head with a goal's arguments and returns rest with the body
-    pushed onto it, or False when the head does not match. The generated
-    code is named after key (the predicate) and origin (source, line).
+    run(m, args, rest, barrier), made by compile() and None until then,
+    unifies the head with a goal's arguments, runs the body's leading
+    guards on machine m, and returns rest with the rest of the body pushed
+    onto it, or False when the head does not match or a guard fails. The
+    neck is after those guards: the calls of builtins that only succeed or
+    fail (_GUARDS) before the body's first other goal. The generated code
+    is named after key (the predicate) and origin (source, line).
     """
 
     __slots__ = ("key", "args", "body", "origin", "run")
@@ -168,9 +176,11 @@ class Clause:
     def source(self) -> tuple[str, list]:
         """The source of a function make(k0, k1, ...) that returns run, and
         the values to call it with: the terms and records run uses."""
-        src = _Source("args, trail, rest, barrier")
+        src = _Source("m, args, rest, barrier")
+        src.emit(2, "trail = m.trail")
         code = _ClauseCode(src, self, 2, "return False")
-        code.emit(0, f"return {code.body(self.body)}")
+        neck = code.guards(self.body)
+        code.emit(0, f"return {code.body(self.body[neck:])}")
         return src.text(), src.values()
 
     def compile(self):
@@ -384,6 +394,15 @@ class _ClauseCode:
 
     # -- body ----------------------------------------------------------------
 
+    def guards(self, goals) -> int:
+        """Emit a call of each of goals' leading guards, through its
+        record's fn, that runs fail when it fails; return how many."""
+        n = _neck(goals)
+        for pred, args in goals[:n]:
+            self.emit(0, f"if not {self.const(pred.fn)}(m, {self.arguments(args)}, rest):")
+            self.emit(1, self.fail)
+        return n
+
     def body(self, goals) -> str:
         """Push goals onto rest from the last to the first, each with its
         argument tuple built, and return the name of the chain; a slot the
@@ -436,6 +455,16 @@ class _ClauseCode:
 
 def _ground(tpls) -> bool:
     return not any(type(t) is VarSlot or type(t) is tuple for t in tpls)
+
+
+def _neck(goals) -> int:
+    """How many of goals' leading calls are of guard builtins."""
+    n = 0
+    for pred, _ in goals:
+        if pred.key not in _GUARDS:
+            break
+        n += 1
+    return n
 
 
 def _first_occurrences(tpls) -> dict:
@@ -536,7 +565,7 @@ class Pred:
     freezes. Their fn is a method, so a record never refers to itself and
     is freed with its session. A ClausePred's fn asks Database.lookup for
     a call's Candidates and runs their generated entry, and runs a call of
-    itself that an entry hands back the same way, in place. clauses is the
+    itself that an entry hands back with its Candidates, in place. clauses is the
     Candidates of all the clauses, in source order (None if there are
     none). As the database freezes, index is set to the first-argument
     index of a predicate of two or more clauses whose first arguments are
@@ -561,13 +590,15 @@ class ClausePred(Pred):
 
     def fn(self, m: "Machine", args, rest):
         """Run a call: ask Database.lookup for its Candidates and run their
-        entry. When the entry hands back the arguments of a call of this
-        record, whose continuation it left in m.goals, that call runs here
-        in place: lookup again, and the entry of the Candidates it returns.
-        An entry hands a call back only from the clause it runs without a
-        choice point, the one candidate or the last, and only where that
-        clause's body starts with a call of this record, so app/3 over a
-        list is one call of fn.
+        entry. An entry loops over the calls of this record that it makes
+        itself while lookup selects its own list for them; when lookup
+        selects another list for one, the entry hands back (candidates,
+        args), with the call's continuation left in m.goals, and that call
+        runs here in place through the other list's entry, with no second
+        lookup. An entry hands a call back only from the clause it runs
+        without a choice point, the one candidate or the last, and only
+        where that clause's body past its neck starts with a call of this
+        record, so app/3 over a list is one call of fn.
 
         lookup stays the one place a call selects its clauses, asked once
         per call, looped calls included: the benchmark's tracer counts
@@ -576,13 +607,13 @@ class ClausePred(Pred):
         caller's continuation, and that goes back to _run: _run still holds
         the chain it called with, so running on into it here would keep
         every goal done meanwhile alive."""
-        lookup = m.db.lookup  # read through the class: a tracer may wrap it
+        candidates = m.db.lookup(self, args)  # read through the class: a tracer may wrap it
         barrier = len(m.cps)  # it holds in the loop: a choice point ends it
         while True:
-            candidates = lookup(self, args)
-            args = (candidates.run or candidates.compile(self))(m, args, rest, barrier)
-            if args is None or args is False:
-                return args
+            res = (candidates.run or candidates.compile(self))(m, args, rest, barrier)
+            if res is None or res is False:
+                return res
+            candidates, args = res
             rest = m.goals
 
 
@@ -606,24 +637,28 @@ class Candidates(list):
     the index's; being the list itself, it costs no object beside it.
 
     In the manner of the WAM's try_me_else/retry_me_else/trust_me
-    sequence, the entry holds its clauses' head code inline, in order, and
-    backtracks shallowly: under a new trail stamp it tries each head but the last,
-    undoing a failed one to the mark taken on entry, and makes a ClauseCP
-    over the same list only when one matches. The last candidate runs
-    without a choice point, trailed against the older ones only, as
-    ClauseCP.retry runs it; when no head matches the entry returns False
-    without one. A matched head's body is pushed onto rest as the machine's
-    goals and the entry returns None, except where the clause runs without
-    a choice point and its body starts with a call of the same record: then
-    the rest of the body goes onto rest, left in m.goals, and the entry
-    returns that call's argument tuple, with no goal cell made for it. A
-    keyed list, which lookup selects only for a first argument of its key,
-    leaves that argument's functor or atom test out of its heads.
+    sequence, the entry holds its clauses' code inline, in order, and
+    backtracks shallowly up to each clause's neck: under a new trail stamp
+    it tries each candidate but the last, its head and then its guards (as
+    Clause.run does), undoing a failed one to the mark taken on entry, and
+    makes a ClauseCP over the same list only when a candidate passes its
+    neck. The last candidate runs without a choice point, trailed against
+    the older ones only, as ClauseCP.retry runs it; when none passes the
+    entry returns False without one. A passed candidate's body past the
+    neck is pushed onto rest as the machine's goals and the entry returns
+    None, except where the clause runs without a choice point and that
+    body starts with a call of the same record: then the entry asks lookup
+    for that call, with the rest of the body as its continuation and no
+    goal cell made for it, and goes round again while lookup returns this
+    list; for another list it leaves the continuation in m.goals and
+    returns (candidates, args) to ClausePred.fn. A keyed list, which lookup
+    selects only for a first argument of its key, leaves that argument's
+    functor or atom test out of its heads.
 
-    When the inlined heads would take the source past _ENTRY_LINES, the
+    When the inlined clauses would take the source past _ENTRY_LINES, the
     entry instead tries every candidate through its Clause.run in a loop,
-    with the same choice points and in-place rule, so a long predicate, or
-    a clause with a huge head, never makes one huge function. The source
+    with the same choice points and calls of its own, so a long predicate,
+    or a clause with a huge head, never makes one huge function. The source
     names every term, record and list as a value make binds, and goes
     through the same cache as clause sources."""
 
@@ -636,79 +671,105 @@ class Candidates(list):
     def source(self, pred: Pred) -> tuple[str, list]:
         """The source of the entry of pred's calls that select this list,
         and the values to call its make with."""
+        params = "m, args, rest, barrier"
         if not self:
-            src = _Source("m, args, rest, barrier")
+            src = _Source(params)
             src.emit(2, "return False")
             return src.text(), src.values()
-        src = _Source("m, args, rest, barrier", _ENTRY_LINES - 3)  # make's own three
+        # whether the last candidate's body starts past its neck with a
+        # call of pred, which the entry then loops over
+        body = self[-1].body
+        neck = _neck(body)
+        loops = neck < len(body) and body[neck][0] is pred
+        src = _Source(params, _ENTRY_LINES - 3)  # make's own three
         try:
-            self.start(src)
+            base = self.start(src, loops)
             for i in range(len(self)):
-                self.inline(src, i, pred)
+                self.inline(src, base, i, pred, loops)
         except _OverBudget:
-            src = _Source("m, args, rest, barrier")
-            self.start(src)
-            self.loop(src, pred)
+            src = _Source(params)
+            self.loop(src, self.start(src, loops), pred, loops)
         return src.text(), src.values()
 
-    def start(self, src: _Source) -> None:
+    def start(self, src: _Source, loops: bool) -> int:
+        """Emit what the entry does first, and each time round if it loops;
+        return the indent of the tries."""
         src.emit(2, "trail = m.trail")
+        base = 2
+        if loops:
+            src.emit(2, "lookup = m.db.lookup")  # read through the class: a tracer may wrap it
+            src.emit(2, "while True:")
+            base = 3
         if len(self) > 1:
-            # the stamp is the choice point's if a head matches: the
+            # the stamp is the choice point's if a candidate passes: the
             # bindings of older variables are trailed against it
-            src.emit(2, "mark = len(trail.entries)")
-            src.emit(2, "outer = trail.boundary")
-            src.emit(2, "trail.boundary = stamp = next_stamp()")
+            src.emit(base, "mark = len(trail.entries)")
+            src.emit(base, "outer = trail.boundary")
+            src.emit(base, "trail.boundary = stamp = next_stamp()")
+        return base
 
-    def inline(self, src: _Source, i: int, pred: Pred) -> None:
-        """Emit the try of candidate i's head and what follows its match."""
+    def inline(self, src: _Source, base: int, i: int, pred: Pred, loops: bool) -> None:
+        """Emit the try of candidate i up to its neck and what follows."""
         cl = self[i]
         last = len(self) - 1
         if i < last:
-            src.emit(2, "while True:")  # a failed match breaks out
-            code = _ClauseCode(src, cl, 3, "break", self.keyed)
-            chain = code.body(cl.body)
+            src.emit(base, "while True:")  # a failed head or guard breaks out
+            code = _ClauseCode(src, cl, base + 1, "break", self.keyed)
+            neck = code.guards(cl.body)
+            chain = code.body(cl.body[neck:])
             code.emit(0, f"m.cps.append(ClauseCP(args, rest, {src.const(self)}, {i + 1}, mark, barrier, stamp))")
             code.emit(0, f"m.goals = {chain}")
             code.emit(0, "return None")
-            src.emit(2, "trail.undo_to(mark)")
+            src.emit(base, "trail.undo_to(mark)")
             return
         if last:
-            src.emit(2, "trail.boundary = outer")
-        code = _ClauseCode(src, cl, 2, "return False", self.keyed)
-        body = cl.body
-        if body and body[0][0] is pred:
-            chain = code.body(body[1:])
-            call = code.arguments(body[0][1])
-            code.emit(0, f"m.goals = {chain}")
-            code.emit(0, f"return {call}")
+            src.emit(base, "trail.boundary = outer")
+        code = _ClauseCode(src, cl, base, "return False", self.keyed)
+        neck = code.guards(cl.body)
+        if loops:
+            chain = code.body(cl.body[neck + 1:])
+            call = code.arguments(cl.body[neck][1])
+            if chain != "rest":
+                code.emit(0, f"rest = {chain}")
+            code.emit(0, f"args = {call}")
+            self.again(src, base, pred)
         else:
-            code.emit(0, f"m.goals = {code.body(body)}")
+            code.emit(0, f"m.goals = {code.body(cl.body[neck:])}")
             code.emit(0, "return None")
 
-    def loop(self, src: _Source, pred: Pred) -> None:
+    def again(self, src: _Source, indent: int, pred: Pred) -> None:
+        """Emit the lookup of the call of pred in args, and the hand-back
+        of that call unless it selects this list."""
+        src.emit(indent, f"candidates = lookup({src.const(pred)}, args)")
+        src.emit(indent, f"if candidates is not {src.const(self)}:")
+        src.emit(indent + 1, "m.goals = rest")
+        src.emit(indent + 1, "return candidates, args")
+
+    def loop(self, src: _Source, base: int, pred: Pred, loops: bool) -> None:
         """Emit the tries of every candidate through its Clause.run."""
         last = len(self) - 1
         if last:
             k = src.const(self)
-            src.emit(2, f"for i in range({last}):")
-            src.emit(3, f"cl = {k}[i]")
-            src.emit(3, "goals = (cl.run or cl.compile())(args, trail, rest, barrier)")
-            src.emit(3, "if goals is not False:")
-            src.emit(4, f"m.cps.append(ClauseCP(args, rest, {k}, i + 1, mark, barrier, stamp))")
-            src.emit(4, "m.goals = goals")
-            src.emit(4, "return None")
-            src.emit(3, "trail.undo_to(mark)")
-            src.emit(2, "trail.boundary = outer")
-        src.emit(2, f"cl = {src.const(self[last])}")
-        src.emit(2, "goals = (cl.run or cl.compile())(args, trail, rest, barrier)")
-        src.emit(2, "if goals is False:")
-        src.emit(3, "return False")
-        src.emit(2, f"if goals is not rest and goals[0][0] is {src.const(pred)}:")
-        src.emit(3, "m.goals = goals[1]")
-        src.emit(3, "return goals[0][1]")
-        src.emit(2, "m.goals = goals")
-        src.emit(2, "return None")
+            src.emit(base, f"for i in range({last}):")
+            src.emit(base + 1, f"cl = {k}[i]")
+            src.emit(base + 1, "goals = (cl.run or cl.compile())(m, args, rest, barrier)")
+            src.emit(base + 1, "if goals is not False:")
+            src.emit(base + 2, f"m.cps.append(ClauseCP(args, rest, {k}, i + 1, mark, barrier, stamp))")
+            src.emit(base + 2, "m.goals = goals")
+            src.emit(base + 2, "return None")
+            src.emit(base + 1, "trail.undo_to(mark)")
+            src.emit(base, "trail.boundary = outer")
+        src.emit(base, f"cl = {src.const(self[last])}")
+        src.emit(base, "goals = (cl.run or cl.compile())(m, args, rest, barrier)")
+        src.emit(base, "if goals is False:")
+        src.emit(base + 1, "return False")
+        if loops:
+            src.emit(base, "args = goals[0][1]")
+            src.emit(base, "rest = goals[1]")
+            self.again(src, base, pred)
+        else:
+            src.emit(base, "m.goals = goals")
+            src.emit(base, "return None")
 
     def compile(self, pred: Pred):
         """Generate run for pred, keep it, and return it, as Clause.compile
@@ -874,7 +935,7 @@ class ClauseCP:
                 # the last alternative runs without this choice point, so
                 # its bindings are trailed only against older ones
                 m._cut(self.barrier)
-            goals = (cl.run or cl.compile())(args, trail, self.rest, self.barrier)
+            goals = (cl.run or cl.compile())(m, args, self.rest, self.barrier)
             if goals is not False:
                 self.cursor = i
                 m.goals = goals
@@ -1289,6 +1350,14 @@ _arith_cmp("<", lambda a, b: a < b)
 _arith_cmp(">", lambda a, b: a > b)
 _arith_cmp("=<", lambda a, b: a <= b)
 _arith_cmp(">=", lambda a, b: a >= b)
+
+# the builtins a clause runs at its neck, inside its entry: each only
+# succeeds or fails, binding through the trail, and touches neither the
+# goals nor the choice points
+_GUARDS = frozenset(
+    [(Atom("true"), 0), (Atom("fail"), 0), (Atom("var"), 1), (Atom("nonvar"), 1)]
+    + [(Atom(name), 2) for name in ("=", "==", "\\==", "is", "=:=", "=\\=", "<", ">", "=<", ">=")]
+)
 
 
 @builtin(",", 2)

@@ -115,6 +115,13 @@ def test_batch_limit_caps_stream():
     assert r.stdout.split() == ["0", "1", "2"]
 
 
+def test_batch_limit_below_one_is_a_usage_error():
+    for n in ("0", "-1"):
+        r = run_cli("--goal", "true", "--limit", n)
+        assert r.returncode == 2
+        assert r.stdout == "" and "--limit" in r.stderr
+
+
 def test_batch_ground_query_prints_yes():
     r = run_cli("--goal", "member(1,[1,2])")
     assert r.returncode == 0

@@ -6,6 +6,7 @@ import ast
 import re
 import sys
 import traceback
+from types import SimpleNamespace
 
 import pytest
 
@@ -85,7 +86,7 @@ def test_traceback_names_the_clause():
     (cl,) = clauses(s, "p", 1)
     run = cl.compile()
     with pytest.raises(ValueError) as e:
-        run((), None, None, 0)  # a wrong argument count fails in the generated code
+        run(SimpleNamespace(trail=None), (), None, 0)  # a wrong argument count fails in the generated code
     assert traceback.extract_tb(e.value.__traceback__)[-1].filename == "<p/1 at <text>:1>"
 
 
@@ -130,7 +131,7 @@ def _arity_checks(tree) -> set[int]:
 
 # names of the generated code besides its numbered temporaries and bound
 # values: its functions and parameters, the goal chain, and globals
-IDENTIFIERS = {"make", "run", "args", "trail", "rest", "barrier", "g", "Var", "Struct", "new", "bind", "unify", "len", "type"}
+IDENTIFIERS = {"make", "run", "m", "args", "trail", "rest", "barrier", "g", "Var", "Struct", "new", "bind", "unify", "len", "type"}
 
 
 def _positions(tree) -> set[int]:
@@ -160,7 +161,7 @@ def assert_holds_no_term(text: str, identifiers: set[str], positions: bool = Fal
 
 
 # an entry's own names besides a clause's
-ENTRY_IDENTIFIERS = IDENTIFIERS | {"m", "mark", "outer", "stamp", "next_stamp", "ClauseCP", "i", "cl", "goals", "range"}
+ENTRY_IDENTIFIERS = IDENTIFIERS | {"mark", "outer", "stamp", "next_stamp", "ClauseCP", "i", "cl", "goals", "range", "lookup", "candidates"}
 
 
 def inlines_every_head(text: str) -> bool:

@@ -489,7 +489,7 @@ def test_one_lookup_per_predicate_call_and_one_call_per_builtin():
     # attribute and each BUILTINS entry as the session found it
     from hornlog import machine as mach
 
-    counts = {"lookup": 0, ">": 0, "between": 0}
+    counts = {"lookup": 0, ">": 0, "between": 0, "is": 0}
 
     def counted(name, fn):
         def wrapped(*args):
@@ -500,12 +500,13 @@ def test_one_lookup_per_predicate_call_and_one_call_per_builtin():
 
     saved_lookup = mach.Database.lookup
     saved = dict(mach.BUILTINS)
-    gt, between = (Atom(">"), 2), (Atom("between"), 3)
+    gt, between, is_ = (Atom(">"), 2), (Atom("between"), 3), (Atom("is"), 2)
     try:
         mach.Database.lookup = counted("lookup", saved_lookup)
         mach.BUILTINS[gt] = counted(">", saved[gt])
         mach.BUILTINS[between] = counted("between", saved[between])
-        s = Session(text=NREV)
+        mach.BUILTINS[is_] = counted("is", saved[is_])
+        s = Session(text=NREV + NECK)
         for n in (0, 1, 10, 30):
             counts["lookup"] = 0
             items = ",".join(map(str, range(n)))
@@ -527,6 +528,15 @@ def test_one_lookup_per_predicate_call_and_one_call_per_builtin():
         counts["lookup"] = 0
         assert write_term(s.first("R", "app([1,2,3],[4],R)")) == "[1,2,3,4]"
         assert counts["lookup"] == 4
+        # guards run at the neck, in the entry, each through its record's
+        # fn: a recursion looped in its entry, and one whose calls switch
+        # lists at every step
+        for goal in ("c({})", "alt(a,{})"):
+            for n in (0, 1, 10, 1000):
+                counts.update({"lookup": 0, ">": 0, "is": 0})
+                assert s.first("x", goal.format(n)) is not None
+                assert counts["lookup"] == n + 1
+                assert counts[">"] == n and counts["is"] == n
     finally:
         mach.Database.lookup = saved_lookup
         mach.BUILTINS.clear()
@@ -831,7 +841,9 @@ def test_a_cut_reached_after_failed_heads_cuts_to_its_callers_barrier(goal, expe
     assert answers_str(s, "A", goal) == expected
 
 
-def test_a_member_scan_makes_one_choice_point(monkeypatch):
+@pytest.fixture
+def counted_cps(monkeypatch):
+    """The ClauseCPs made, each one appended as it is made."""
     made = []
 
     class CountedCP(machine_module.ClauseCP):
@@ -842,8 +854,83 @@ def test_a_member_scan_makes_one_choice_point(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(machine_module, "ClauseCP", CountedCP)
+    return made
+
+
+def test_a_member_scan_makes_one_choice_point(counted_cps):
     s = Session()
     assert len(s.answers("ok", f"member(z,[{'a,' * 1000}z])")) == 1
     # only the head that matches z makes one; a failed head makes none,
     # and so does the last clause, which runs the scan on in place
-    assert len(made) == 1
+    assert len(counted_cps) == 1
+
+
+# -- shallow backtracking to the neck: guards run in the entry -------------------
+
+NECK = """
+p(X,Y):-X=a,Y=b,Y==c.
+p(X,Y):-var(X),Y=d.
+q(X):-Y is X+1,Y>0.
+q(_).
+c(0).
+c(N):-N>0,N1 is N-1,c(N1).
+alt(_,0).
+alt(a,N):-N>0,N1 is N-1,alt(b,N1).
+alt(b,N):-N>0,N1 is N-1,alt(a,N1).
+"""
+
+
+def test_bindings_a_failed_guard_made_are_undone_before_the_next_head():
+    # X=a and Y=b hold until Y==c fails; var(X) must see X unbound again
+    s = Session(text=NECK, prelude=False)
+    m = machine(s, "X-Y", "p(X,Y)")
+    ev = m.resume()
+    assert type(ev) is AnswerReady
+    x, y = ev.value.args
+    assert type(deref(x)) is Var and deref(y) is Atom("d")
+    assert len(m.cps) == 0
+    assert len(m.trail.entries) == 0
+    assert m.resume() is EXHAUSTED
+
+
+def test_a_guard_fault_in_a_candidate_with_others_left_kills_as_from_the_body():
+    # the fault ends the query; q(_) is never tried
+    s, lines = _errors(NECK)
+    assert s.answers("X", "q(X)") == []
+    assert len(lines) == 1 and lines[0].startswith("engine 1: instantiation_error: _G")
+    assert answers_str(s, "x", "q(1)") == ["x", "x"]
+    assert len(lines) == 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 20])
+def test_a_retract_scanning_past_elements_makes_one_choice_point(n, counted_cps):
+    # select_nonvar/3 tests each list cell at its neck, so an element it
+    # scans past makes no choice point; server_task_delete/4 makes the one
+    s = Session()
+    db = s.first("Db", "new_edb(Db)")
+    for i in range(n):
+        assert s.first(Atom("x"), Struct("edb_assertz", (db, parse_term(f"(a({i}):-true)")))) is not None
+    counted_cps.clear()
+    assert s.first(Atom("x"), Struct("edb_retract1", (db, Atom("z")))) is None
+    assert len(counted_cps) <= 1
+    if n:
+        assert s.first(Atom("x"), Struct("edb_retract1", (db, parse_term(f"a({n - 1})")))) is not None
+        h = Var()
+        left = s.answers(h, Struct("edb_clause", (db, h, Atom("true"))))
+        assert [write_term(t) for t in left] == [f"a({i})" for i in range(n - 1)]
+
+
+def test_a_deep_guarded_recursion_runs_in_one_entry():
+    s = Session(text=NECK, prelude=False)
+    m = machine(s, "x", "c(1000000)")
+    assert type(m.resume()) is AnswerReady
+    # the one choice point is c(0)'s, over c(N), made as the recursion ends
+    assert len(m.cps) == 1
+    assert m.resume() is EXHAUSTED
+
+
+def test_calls_that_alternate_between_keyed_lists_hand_back_without_nesting():
+    # each call selects the other list, so each is handed back to fn
+    s = Session(text=NECK, prelude=False)
+    assert answers_str(s, "x", "alt(a,100000)") == ["x"]
+    assert answers_str(s, "x", "alt(b,100001)") == ["x"]
