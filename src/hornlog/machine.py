@@ -19,35 +19,41 @@ internal records too: a body cut carries its clause's barrier, the goal
 below a query's goal hands out its answer, and an answered machine is left
 a fail goal, so resuming it backtracks into its choice points.
 
-A clause is tried by Python code generated for it, in the spirit of the
-WAM's get/unify/put instructions: the code unifies the head with the
-goal's arguments, with a test specialised to each head node, and pushes
-the body onto the goal chain. Clause selection is generated too, as the
-WAM's try_me_else/retry_me_else/trust_me sequences: each list of candidate
-clauses the first-argument index can select gets one function, its entry,
-with the candidates' code inline, in order. A clause's neck is after the
-leading calls in its body of builtins that can only succeed or fail (=,
-is, var, the arithmetic comparisons and the like), and an entry
-backtracks shallowly up to it: it tries each candidate's head and then
-those guards, undoing a candidate that fails either, and makes a choice
-point only when a candidate passes its neck with candidates left; the
-last candidate runs without one. When the clause run without one has a
-body that starts past its neck with a call of the same record, the entry
-asks Database.lookup for that call and goes round again while lookup
-selects the same list; for another list it hands the list and the call's
-arguments back to the record's fn, which runs that list's entry in the
-same loop. So app/3 over a list, member/2's scan for an element further
-down its list, or a countdown guarded by N>0, is one call of fn.
-Database.lookup still selects the list, once per predicate call, calls
-run in place included, because that is where the benchmark's tracer
-counts predicate calls; a choice point tries the later candidates through
-each clause's own function, Clause.run, which runs the same guards.
+Clauses are tried by generated Python code, in the spirit of the WAM's
+get/unify/put instructions and its try_me_else/retry_me_else/trust_me
+sequences: each list of candidate clauses the first-argument index can
+select gets one function, its entry, with the candidates' code inline, in
+order. It unifies each head with the goal's arguments, with a test
+specialised to each head node, and pushes the body onto the goal chain. A
+clause has no other code: the entry is the only place it runs. A clause's
+neck is after the leading calls in its body of builtins that can only
+succeed or fail (=, is, var, the arithmetic comparisons and the like), and
+an entry backtracks shallowly up to it: it tries each candidate's head and
+then those guards, undoing a candidate that fails either, and makes a
+choice point only when a candidate passes its neck with candidates left;
+the last candidate runs without one. A choice point takes its call up
+again by running the same entry from its cursor, as retry_me_else and
+trust_me enter one code sequence per procedure.
+
+When the last candidate has a body that starts past its neck with a call
+of the same record, the entry asks Database.lookup for that call and goes
+round again while lookup selects the same list; for another list it hands
+the list and the call's arguments back to the record's fn, which runs that
+list's entry in the same loop. So app/3 over a list, member/2's scan for an
+element further down its list, or a countdown guarded by N>0, is one call
+of fn. Database.lookup still selects the list, once per predicate call,
+calls run in place included, because that is where the benchmark's tracer
+counts predicate calls. A list too long for one entry of _ENTRY_LINES
+lines is tried through a chain of entries, each handing the call on to the
+next in the same way.
 
 Code is generated the first time it is run, so loading a program compiles
 nothing and a predicate never called costs nothing. Its source names every
-term and record as a parameter default bound when the code is made, so
-what it compiles to is kept for the process in a least-recently-used cache
-of 512 sources: another session over the same program compiles nothing.
+term and record as a parameter default bound when the code is made, and
+its code name is only its predicate's, so what it compiles to is kept for
+the process in a least-recently-used cache of 512 sources: another session
+over the same program, or another link of a chain over same-shape clauses,
+compiles nothing.
 
 A fault is one MachineError: a builtin raises it, and resume kills the
 machine and returns the same instance as its event. A machine's mailbox,
@@ -146,8 +152,8 @@ class VarSlot:
 
 
 class Clause:
-    """A clause as loaded: head-argument and body templates, compiled to a
-    Python function the first time the clause is tried.
+    """A clause as loaded: its predicate's key, head-argument and body
+    templates, and where it was read (source, line), or None.
 
     Templates are ordinary terms except that variables are VarSlot markers
     and any compound containing one is a (functor, args) pair. Ground
@@ -155,44 +161,18 @@ class Clause:
     record it calls and its argument templates. A cut has args None: it is
     pushed with its clause's barrier as its argument.
 
-    run(m, args, rest, barrier), made by compile() and None until then,
-    unifies the head with a goal's arguments, runs the body's leading
-    guards on machine m, and returns rest with the rest of the body pushed
-    onto it, or False when the head does not match or a guard fails. The
-    neck is after those guards: the calls of builtins that only succeed or
-    fail (_GUARDS) before the body's first other goal. The generated code
-    is named after key (the predicate) and origin (source, line).
+    A clause has no code of its own: it runs only inside the entry of a
+    Candidates that holds it, which matches its head and runs its neck's
+    guards inline.
     """
 
-    __slots__ = ("key", "args", "body", "origin", "run")
+    __slots__ = ("key", "args", "body", "origin")
 
     def __init__(self, key, args, body, origin=None):
         self.key = key
         self.args = args
         self.body = body
         self.origin = origin
-        self.run = None
-
-    def source(self) -> tuple[str, list]:
-        """The source of a function make(k0, k1, ...) that returns run, and
-        the values to call it with: the terms and records run uses."""
-        src = _Source("m, args, rest, barrier")
-        src.emit(2, "trail = m.trail")
-        code = _ClauseCode(src, self, 2, "return False")
-        neck = code.guards(self.body)
-        code.emit(0, f"return {code.body(self.body[neck:])}")
-        return src.text(), src.values()
-
-    def compile(self):
-        """Generate run, keep it, and return it. The source is compiled
-        once per process while it stays in the cache: a clause of another
-        session with the same code name and source reuses its make. Threads
-        that race here each keep an equivalent function; the last one stays."""
-        text, values = self.source()
-        name, arity = self.key
-        where = "" if self.origin is None else " at {}:{}".format(*self.origin)
-        self.run = run = _make(f"<{name.name}/{arity}{where}>", text)(*values)
-        return run
 
 
 @functools.lru_cache(maxsize=512)
@@ -591,30 +571,21 @@ class ClausePred(Pred):
     def fn(self, m: "Machine", args, rest):
         """Run a call: ask Database.lookup for its Candidates and run their
         entry. An entry loops over the calls of this record that it makes
-        itself while lookup selects its own list for them; when lookup
-        selects another list for one, the entry hands back (candidates,
-        args), with the call's continuation left in m.goals, and that call
-        runs here in place through the other list's entry, with no second
-        lookup. An entry hands a call back only from the clause it runs
-        without a choice point, the one candidate or the last, and only
-        where that clause's body past its neck starts with a call of this
-        record, so app/3 over a list is one call of fn.
+        itself while lookup selects its own list for them; a call for which
+        lookup selects another list, or that an over-budget list hands on to
+        the next link of its chain, runs here in place, with no second
+        lookup, so app/3 over a list is one call of fn.
 
         lookup stays the one place a call selects its clauses, asked once
         per call, looped calls included: the benchmark's tracer counts
         predicate calls by wrapping it, so it stays until that count is
-        taken elsewhere. A fact's entry hands back its
-        caller's continuation, and that goes back to _run: _run still holds
-        the chain it called with, so running on into it here would keep
-        every goal done meanwhile alive."""
-        candidates = m.db.lookup(self, args)  # read through the class: a tracer may wrap it
-        barrier = len(m.cps)  # it holds in the loop: a choice point ends it
-        while True:
-            res = (candidates.run or candidates.compile(self))(m, args, rest, barrier)
-            if res is None or res is False:
-                return res
-            candidates, args = res
-            rest = m.goals
+        taken elsewhere. A fact's entry hands back its caller's
+        continuation, and that goes back to _run: _run still holds the
+        chain it called with, so running on into it here would keep every
+        goal done meanwhile alive."""
+        # read through the class: a tracer may wrap it; the barrier holds
+        # for every entry the call runs through: a choice point ends it
+        return _enter(m, m.db.lookup(self, args), args, rest, len(m.cps))
 
 
 class UnknownPred(Pred):
@@ -625,159 +596,162 @@ class UnknownPred(Pred):
         raise MachineError("unknown_predicate", Struct("/", (name, Int(arity))))
 
 
-# the most lines an entry's source has: past them, it tries its clauses
-# through their Clause.run
+# the most lines an entry's source has, unless a single clause passes it:
+# a longer list is tried through a chain of entries
 _ENTRY_LINES = 300
 
 
 class Candidates(list):
     """A list of clauses Database.lookup can return, in source order, and
-    its entry, generated on the list's first selection: run(m, args, rest,
-    barrier), None until then. A record's clauses are one, and freeze makes
-    the index's; being the list itself, it costs no object beside it.
+    its entry, the only code a clause runs in. A record's clauses are one,
+    and freeze makes the index's; being the list itself, it costs no object
+    beside it. pred is the record whose calls select it; a list lookup
+    returns has more None.
 
-    In the manner of the WAM's try_me_else/retry_me_else/trust_me
-    sequence, the entry holds its clauses' code inline, in order, and
-    backtracks shallowly up to each clause's neck: under a new trail stamp
-    it tries each candidate but the last, its head and then its guards (as
-    Clause.run does), undoing a failed one to the mark taken on entry, and
-    makes a ClauseCP over the same list only when a candidate passes its
-    neck. The last candidate runs without a choice point, trailed against
-    the older ones only, as ClauseCP.retry runs it; when none passes the
-    entry returns False without one. A passed candidate's body past the
-    neck is pushed onto rest as the machine's goals and the entry returns
-    None, except where the clause runs without a choice point and that
-    body starts with a call of the same record: then the entry asks lookup
-    for that call, with the rest of the body as its continuation and no
-    goal cell made for it, and goes round again while lookup returns this
-    list; for another list it leaves the continuation in m.goals and
-    returns (candidates, args) to ClausePred.fn. A keyed list, which lookup
-    selects only for a first argument of its key, leaves that argument's
-    functor or atom test out of its heads.
+    The entry is generated on the list's first selection: run(m, args,
+    rest, barrier, start=0), None until then. In the manner of the WAM's
+    try_me_else/retry_me_else/trust_me sequence it holds its clauses' code
+    inline, in order, and backtracks shallowly up to each clause's neck:
+    under a new trail stamp it tries each candidate but the last, its head
+    and then its guards, undoing a failed one to the mark taken on entry,
+    and makes a ClauseCP over the same list only when a candidate passes
+    its neck. The last candidate runs without a choice point, trailed
+    against the older ones only; when none passes the entry returns False.
+    A ClauseCP takes the call up again by running the same entry from its
+    cursor: start skips the candidates before it.
 
-    When the inlined clauses would take the source past _ENTRY_LINES, the
-    entry instead tries every candidate through its Clause.run in a loop,
-    with the same choice points and calls of its own, so a long predicate,
-    or a clause with a huge head, never makes one huge function. The source
-    names every term, record and list as a value make binds, and goes
-    through the same cache as clause sources."""
+    A passed candidate's body past the neck is pushed onto rest as the
+    machine's goals and the entry returns None, except where the last
+    candidate's body starts with a call of pred: then the entry asks
+    lookup for that call, with the rest of the body as its continuation
+    and no goal cell made for it, and goes round again from the first
+    candidate while lookup returns this list; for another list it leaves
+    the continuation in m.goals and returns (candidates, args), which runs
+    as ClausePred.fn runs it. A keyed list, which lookup selects only for a
+    first argument of its key, leaves that argument's functor or atom test
+    out of its heads.
 
-    __slots__ = ("keyed", "run")
+    Where the inlined clauses would take the source past _ENTRY_LINES, the
+    entry holds the first n that fit, at least one, and hands the call on
+    to more, a chain of lists of n candidates each made when the entry is
+    generated, in the same way: the continuation in m.goals, and (more,
+    args) returned. Each link's entry is generated on its first run, and
+    links of the same shape have the same source, so a table of facts
+    compiles two: a full link's, and the last one's. The source names every
+    term, record and list as a value make binds, so it goes through the
+    code cache under the name <name/arity entry>."""
 
-    def __init__(self, keyed: bool = False):  # an empty list
+    __slots__ = ("pred", "keyed", "more", "run")
+
+    def __init__(self, pred: Pred, keyed: bool = False, more: Candidates | None = None):  # an empty list
+        self.pred = pred
         self.keyed = keyed
+        self.more = more
         self.run = None
 
-    def source(self, pred: Pred) -> tuple[str, list]:
-        """The source of the entry of pred's calls that select this list,
-        and the values to call its make with."""
-        params = "m, args, rest, barrier"
+    def source(self) -> tuple[str, list]:
+        """The source of this list's entry, and the values to call its
+        make with. A list over the budget gets a new chain each time."""
+        params = "m, args, rest, barrier, start=0"
         if not self:
             src = _Source(params)
             src.emit(2, "return False")
             return src.text(), src.values()
-        # whether the last candidate's body starts past its neck with a
-        # call of pred, which the entry then loops over
-        body = self[-1].body
-        neck = _neck(body)
-        loops = neck < len(body) and body[neck][0] is pred
         src = _Source(params, _ENTRY_LINES - 3)  # make's own three
+        ends: list[int] = []
         try:
-            base = self.start(src, loops)
-            for i in range(len(self)):
-                self.inline(src, base, i, pred, loops)
+            self.tries(src, len(self), self.more, ends)
         except _OverBudget:
+            # as many tries as fit with the three lines that hand on
+            n = max(1, sum(end + 3 <= src.limit for end in ends))
+            more = self.more
+            for i in reversed(range(n, len(self), n)):
+                more = Candidates(self.pred, self.keyed, more)
+                more += self[i : i + n]
             src = _Source(params)
-            self.loop(src, self.start(src, loops), pred, loops)
+            self.tries(src, n, more, [])
         return src.text(), src.values()
 
-    def start(self, src: _Source, loops: bool) -> int:
-        """Emit what the entry does first, and each time round if it loops;
-        return the indent of the tries."""
+    def tries(self, src: _Source, n: int, more: Candidates | None, ends: list[int]) -> None:
+        """Emit an entry that tries the first n candidates and then hands
+        the call on to more, or, with more None, that runs the nth without
+        a choice point. ends gets the length of the source after each try
+        made with one."""
+        last = n if more is not None else n - 1  # how many tries make a choice point
+        body = self[n - 1].body
+        neck = _neck(body)
+        loops = more is None and neck < len(body) and body[neck][0] is self.pred
         src.emit(2, "trail = m.trail")
-        base = 2
+        top = 2
         if loops:
             src.emit(2, "lookup = m.db.lookup")  # read through the class: a tracer may wrap it
             src.emit(2, "while True:")
-            base = 3
-        if len(self) > 1:
+            top = 3
+        if last:
             # the stamp is the choice point's if a candidate passes: the
             # bindings of older variables are trailed against it
-            src.emit(base, "mark = len(trail.entries)")
-            src.emit(base, "outer = trail.boundary")
-            src.emit(base, "trail.boundary = stamp = next_stamp()")
-        return base
-
-    def inline(self, src: _Source, base: int, i: int, pred: Pred, loops: bool) -> None:
-        """Emit the try of candidate i up to its neck and what follows."""
-        cl = self[i]
-        last = len(self) - 1
-        if i < last:
-            src.emit(base, "while True:")  # a failed head or guard breaks out
-            code = _ClauseCode(src, cl, base + 1, "break", self.keyed)
+            src.emit(top, "mark = len(trail.entries)")
+            src.emit(top, "outer = trail.boundary")
+            src.emit(top, "trail.boundary = stamp = next_stamp()")
+        for i in range(last):
+            cl = self[i]
+            src.emit(top, f"while start <= {i}:")  # a failed head or guard breaks out
+            code = _ClauseCode(src, cl, top + 1, "break", self.keyed)
             neck = code.guards(cl.body)
             chain = code.body(cl.body[neck:])
             code.emit(0, f"m.cps.append(ClauseCP(args, rest, {src.const(self)}, {i + 1}, mark, barrier, stamp))")
             code.emit(0, f"m.goals = {chain}")
             code.emit(0, "return None")
-            src.emit(base, "trail.undo_to(mark)")
-            return
+            src.emit(top, "trail.undo_to(mark)")
+            ends.append(len(src.lines))
         if last:
-            src.emit(base, "trail.boundary = outer")
-        code = _ClauseCode(src, cl, base, "return False", self.keyed)
+            src.emit(top, "trail.boundary = outer")
+        if more is not None:
+            src.emit(top, "m.goals = rest")
+            src.emit(top, f"return {src.const(more)}, args")
+            return
+        cl = self[last]
+        code = _ClauseCode(src, cl, top, "return False", self.keyed)
         neck = code.guards(cl.body)
-        if loops:
-            chain = code.body(cl.body[neck + 1:])
-            call = code.arguments(cl.body[neck][1])
-            if chain != "rest":
-                code.emit(0, f"rest = {chain}")
-            code.emit(0, f"args = {call}")
-            self.again(src, base, pred)
-        else:
+        if not loops:
             code.emit(0, f"m.goals = {code.body(cl.body[neck:])}")
             code.emit(0, "return None")
-
-    def again(self, src: _Source, indent: int, pred: Pred) -> None:
-        """Emit the lookup of the call of pred in args, and the hand-back
-        of that call unless it selects this list."""
-        src.emit(indent, f"candidates = lookup({src.const(pred)}, args)")
-        src.emit(indent, f"if candidates is not {src.const(self)}:")
-        src.emit(indent + 1, "m.goals = rest")
-        src.emit(indent + 1, "return candidates, args")
-
-    def loop(self, src: _Source, base: int, pred: Pred, loops: bool) -> None:
-        """Emit the tries of every candidate through its Clause.run."""
-        last = len(self) - 1
+            return
+        chain = code.body(cl.body[neck + 1 :])
+        call = code.arguments(cl.body[neck][1])
+        if chain != "rest":
+            code.emit(0, f"rest = {chain}")
+        code.emit(0, f"args = {call}")
+        code.emit(0, f"candidates = lookup({src.const(self.pred)}, args)")
+        code.emit(0, f"if candidates is not {src.const(self)}:")
+        code.emit(1, "m.goals = rest")
+        code.emit(1, "return candidates, args")
         if last:
-            k = src.const(self)
-            src.emit(base, f"for i in range({last}):")
-            src.emit(base + 1, f"cl = {k}[i]")
-            src.emit(base + 1, "goals = (cl.run or cl.compile())(m, args, rest, barrier)")
-            src.emit(base + 1, "if goals is not False:")
-            src.emit(base + 2, f"m.cps.append(ClauseCP(args, rest, {k}, i + 1, mark, barrier, stamp))")
-            src.emit(base + 2, "m.goals = goals")
-            src.emit(base + 2, "return None")
-            src.emit(base + 1, "trail.undo_to(mark)")
-            src.emit(base, "trail.boundary = outer")
-        src.emit(base, f"cl = {src.const(self[last])}")
-        src.emit(base, "goals = (cl.run or cl.compile())(m, args, rest, barrier)")
-        src.emit(base, "if goals is False:")
-        src.emit(base + 1, "return False")
-        if loops:
-            src.emit(base, "args = goals[0][1]")
-            src.emit(base, "rest = goals[1]")
-            self.again(src, base, pred)
-        else:
-            src.emit(base, "m.goals = goals")
-            src.emit(base, "return None")
+            code.emit(0, "start = 0")
 
-    def compile(self, pred: Pred):
-        """Generate run for pred, keep it, and return it, as Clause.compile
-        does. A clause is compiled only when something calls its own run."""
-        text, values = self.source(pred)
-        name, arity = pred.key
+    def compile(self):
+        """Generate run, keep it, and return it. The source is compiled
+        once per process while it stays in the cache: a list of another
+        session, or another link, with the same source reuses its make.
+        Threads that race here each keep an equivalent function; the last
+        one stays."""
+        text, values = self.source()
+        name, arity = self.pred.key
         self.run = run = _make(f"<{name.name}/{arity} entry>", text)(*values)
         return run
+
+
+def _enter(m: "Machine", candidates: Candidates, args, rest, barrier: int, start: int = 0):
+    """Run a call through candidates' entry from start, and each call an
+    entry hands back or on, with its list, in place; return what the last
+    entry returned, None or False."""
+    while True:
+        res = (candidates.run or candidates.compile())(m, args, rest, barrier, start)
+        if res is None or res is False:
+            return res
+        candidates, args = res
+        rest = m.goals
+        start = 0
 
 
 class Database:
@@ -803,7 +777,7 @@ class Database:
         cl = compile_clause(head, body, self, origin)
         p = self.pred(cl.key)
         if p.clauses is None:
-            p.clauses = Candidates()
+            p.clauses = Candidates(p)
         p.clauses.append(cl)
 
     def include(self, other: "Database") -> None:
@@ -821,7 +795,7 @@ class Database:
             if p.clauses is None:
                 continue
             if mine.clauses is None:
-                mine.clauses = Candidates()
+                mine.clauses = Candidates(mine)
             for cl in p.clauses:
                 body = tuple((self.pred(q.key) if theirs.get(q.key) is q else q, a) for q, a in cl.body)
                 mine.clauses.append(Clause(cl.key, cl.args, body, cl.origin))
@@ -834,7 +808,7 @@ class Database:
             if clauses is None or len(clauses) < 2 or p.key[1] == 0:
                 continue
             table: dict = {}
-            unkeyed = Candidates()
+            unkeyed = Candidates(p)
             for cl in clauses:
                 t = cl.args[0]  # a template, keyed as lookup keys a term
                 tt = type(t)
@@ -853,7 +827,7 @@ class Database:
                     k = t
                 candidates = table.get(k)
                 if candidates is None:
-                    candidates = table[k] = Candidates(True)
+                    candidates = table[k] = Candidates(p, True)
                     candidates += unkeyed
                 candidates.append(cl)
             if table:
@@ -911,6 +885,15 @@ class Database:
 
 
 class ClauseCP:
+    """A choice point made by a Candidates' entry: the call's args and
+    rest, the list, the cursor of the next candidate to try, the trail mark
+    and stamp the entry took, and the call's barrier, which is this choice
+    point's own height. retry pops it and runs the call again through the
+    same entry from the cursor, as retry_me_else and trust_me go on in one
+    code sequence: a later candidate that passes its neck with others left
+    makes a new ClauseCP, and the last runs without one, its bindings
+    trailed against the older choice points only."""
+
     __slots__ = ("args", "rest", "clauses", "cursor", "trailmark", "barrier", "stamp")
 
     def __init__(self, args, rest, clauses, cursor, trailmark, barrier, stamp):
@@ -923,25 +906,8 @@ class ClauseCP:
         self.stamp = stamp
 
     def retry(self, m: "Machine") -> bool:
-        clauses = self.clauses
-        n = len(clauses)
-        i = self.cursor
-        args = self.args
-        trail = m.trail
-        while i < n:
-            cl = clauses[i]
-            i += 1
-            if i == n:
-                # the last alternative runs without this choice point, so
-                # its bindings are trailed only against older ones
-                m._cut(self.barrier)
-            goals = (cl.run or cl.compile())(m, args, self.rest, self.barrier)
-            if goals is not False:
-                self.cursor = i
-                m.goals = goals
-                return True
-            trail.undo_to(self.trailmark)
-        return False
+        m._cut(self.barrier)
+        return _enter(m, self.clauses, self.args, self.rest, self.barrier, self.cursor) is None
 
 
 class BetweenCP:
@@ -1141,8 +1107,8 @@ class Machine(Handle):
                 return res
 
     def _backtrack(self) -> bool:
-        # a choice point pops itself before its last alternative (WAM
-        # trust_me), so a failed retry has already left the stack
+        # a choice point pops itself before it retries, so a failed retry
+        # has already left the stack
         cps = self.cps
         trail = self.trail
         while cps:

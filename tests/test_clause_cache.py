@@ -19,8 +19,8 @@ app([H|T],L,[H|R]):-app(T,L,R).
 
 
 def counted_compiles(monkeypatch) -> list[str]:
-    """The code names of the sources compiled from now on: Clause.compile
-    reads compile from the machine module's globals first."""
+    """The code names of the sources compiled from now on: _make reads
+    compile from the machine module's globals first."""
     names: list[str] = []
     real = compile
 
@@ -54,13 +54,9 @@ def test_shared_code_keeps_each_clauses_name_and_values():
     two = Session(text=NREV, prelude=False)
     assert answers_str(one, "R", "nrev([1,2],R)") == ["[2,1]"]
     assert answers_str(two, "R", "nrev([a,b],R)") == ["[b,a]"]
-    runs = [
-        [c.run for c in s.db.pred((Atom("app"), 3)).index[0].values()]
-        + [cl.compile() for cl in s.db.pred((Atom("app"), 3)).clauses]
-        for s in (one, two)
-    ]
+    runs = [[c.run for c in s.db.pred((Atom("app"), 3)).index[0].values()] for s in (one, two)]
     files = [[run.__code__.co_filename for run in rs] for rs in runs]
-    assert files == [["<app/3 entry>", "<app/3 entry>", "<app/3 at <text>:4>", "<app/3 at <text>:5>"]] * 2
+    assert files == [["<app/3 entry>", "<app/3 entry>"]] * 2
     # one code object, a run of its own per session: its defaults hold the
     # session's records
     for a, b in zip(*runs):
@@ -99,14 +95,22 @@ def test_the_cache_stays_within_its_bound_and_holds_only_code(monkeypatch):
     assert names == []
     s = run(21)
     assert names == ["<bounded_21/1 entry>"]
-    p = s.db.pred((Atom("bounded_21"), 1))
-    (cl,) = p.clauses
-    cl.compile()
-    assert names == ["<bounded_21/1 entry>", "<bounded_21/1 at <text>:1>"]
+    entry = s.db.pred((Atom("bounded_21"), 1)).clauses
     # a make is code and this module's globals; the terms and records come
     # in as its arguments and are the defaults of the run it returns
-    for name, (text, values), run in zip(names, [p.clauses.source(p), cl.source()], [p.clauses.run, cl.run]):
-        make = machine._make(name, text)
-        assert make.__closure__ is None and make.__globals__ is vars(machine)
-        assert run.__code__ in make.__code__.co_consts
-        assert run.__closure__ is None and list(run.__defaults__) == values
+    text, values = entry.source()
+    make = machine._make(names[0], text)
+    assert make.__closure__ is None and make.__globals__ is vars(machine)
+    assert entry.run.__code__ in make.__code__.co_consts
+    assert entry.run.__closure__ is None and list(entry.run.__defaults__) == [0, *values]
+
+
+def test_a_table_of_same_shape_facts_compiles_two_entries(monkeypatch):
+    # enumerated with its first argument unbound, the full list is tried
+    # through a chain of entries; all links but the last have one source
+    n = 10000
+    s = Session(text="".join(f"f(k{i},{i},g(k{i})).\n" for i in range(n)), prelude=False)
+    names = counted_compiles(monkeypatch)
+    got = s.answers("X-Y", "f(X,Y,_)")
+    assert len(got) == n and [a.args[1].value for a in got[:3]] == [0, 1, 2]
+    assert len(names) <= 2 and set(names) <= {"<f/3 entry>"}

@@ -38,19 +38,28 @@ def candidate_lists(s: Session):
             yield p, p.index[1]
 
 
-# -- compiled on the first call, named after the clause ------------------------
+# -- compiled on the first call, named after the predicate ---------------------
 
 
 def test_session_construction_compiles_no_clause():
     s = Session(text=NREV)
-    assert all(cl.run is None for p in s.db._preds.values() for cl in p.clauses or ())
     assert answers_str(s, "R", "nrev([1,2,3],R)") == ["[3,2,1]"]
-    # the entries these calls select hold every head they try inline
-    assert all(cl.run is None for cl in clauses(s, "app", 3) + clauses(s, "nrev", 2))
-    # a choice point retries its next clause through that clause's run,
-    # compiled on the retry
-    assert answers_str(s, "X", "member(X,[a,b])") == ["a", "b"]
-    assert [cl.run is None for cl in clauses(s, "member", 2)] == [True, False]
+    # a clause has no code of its own
+    assert not any(hasattr(cl, "run") for p in s.db._preds.values() for cl in p.clauses or ())
+    # a choice point takes its call up again in the entry that made it,
+    # from its cursor: member/2's second clause, the list's last
+    e = s.new_engine("X", "member(X,[a,b])")
+    assert write_term(e.get().value) == "a"
+    (cp,) = e.cps
+    entry, starts = cp.clauses.run, []
+
+    def counted(m, args, rest, barrier, start=0):
+        starts.append(start)
+        return entry(m, args, rest, barrier, start)
+
+    cp.clauses.run = counted
+    assert write_term(e.get().value) == "b"
+    assert starts == [1]
 
 
 def test_session_construction_compiles_no_entry():
@@ -68,26 +77,26 @@ def test_session_construction_compiles_no_entry():
     assert {c.run.__code__.co_filename for _, c in made} == {"<app/3 entry>", "<nrev/2 entry>"}
 
 
-def test_generated_code_is_named_after_its_predicate_and_line():
+def test_generated_code_is_named_after_its_predicate():
     s = Session(text=NREV, prelude=False)
     assert answers_str(s, "R", "nrev([1,2],R)") == ["[2,1]"]
     p = s.db.pred((Atom("app"), 3))
     assert {c.run.__code__.co_filename for c in p.index[0].values()} == {"<app/3 entry>"}
-    files = [cl.compile().__code__.co_filename for cl in p.clauses]
-    assert files == ["<app/3 at <text>:4>", "<app/3 at <text>:5>"]
+    # a clause keeps where it was read
+    assert [cl.origin for cl in p.clauses] == [("<text>", 4), ("<text>", 5)]
     db = Database()
     db.add(parse_term("late(1)"), parse_term("true"))  # no origin
-    (cl,) = db.pred((Atom("late"), 1)).clauses
-    assert cl.compile().__code__.co_filename == "<late/1>"
+    db.freeze()
+    late = db.pred((Atom("late"), 1))
+    assert late.clauses.compile().__code__.co_filename == "<late/1 entry>"
 
 
-def test_traceback_names_the_clause():
+def test_traceback_names_the_entry():
     s = Session(text="p(X):-q(X).\nq(1).\n", prelude=False)
-    (cl,) = clauses(s, "p", 1)
-    run = cl.compile()
+    run = clauses(s, "p", 1).compile()
     with pytest.raises(ValueError) as e:
         run(SimpleNamespace(trail=None), (), None, 0)  # a wrong argument count fails in the generated code
-    assert traceback.extract_tb(e.value.__traceback__)[-1].filename == "<p/1 at <text>:1>"
+    assert traceback.extract_tb(e.value.__traceback__)[-1].filename == "<p/1 entry>"
 
 
 # -- no term text reaches the generated source --------------------------------
@@ -130,64 +139,82 @@ def _arity_checks(tree) -> set[int]:
 
 
 # names of the generated code besides its numbered temporaries and bound
-# values: its functions and parameters, the goal chain, and globals
-IDENTIFIERS = {"make", "run", "m", "args", "trail", "rest", "barrier", "g", "Var", "Struct", "new", "bind", "unify", "len", "type"}
+# values: its functions and parameters, its locals, the goal chain, and globals
+IDENTIFIERS = {
+    "make", "run", "m", "args", "trail", "rest", "barrier", "start", "g", "Var", "Struct", "new", "bind", "unify",
+    "len", "type", "mark", "outer", "stamp", "next_stamp", "ClauseCP", "lookup", "candidates",
+}  # fmt: skip
 
 
 def _positions(tree) -> set[int]:
-    """ids of the integer constants an entry passes to ClauseCP or range,
-    or indexes its candidate list or a goal chain with."""
+    """ids of the integer constants an entry compares start with, sets it
+    to or gives it as its default, passes to ClauseCP as a cursor, or
+    indexes a goal chain with."""
+
+    def names_start(node) -> bool:
+        return isinstance(node, ast.Name) and node.id == "start"
+
     ids = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript):
+        if isinstance(node, ast.arguments):
+            node = ast.Tuple(node.defaults)
+        elif isinstance(node, ast.Subscript):
             node = node.slice
-        elif not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("ClauseCP", "range")):
+        elif isinstance(node, ast.Compare) and names_start(node.left):
+            pass
+        elif isinstance(node, ast.Assign) and names_start(node.targets[0]):
+            pass
+        elif not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ClauseCP"):
             continue
         ids.update(id(a) for a in ast.walk(node) if isinstance(a, ast.Constant) and type(a.value) is int)
     return ids
 
 
-def assert_holds_no_term(text: str, identifiers: set[str], positions: bool = False) -> None:
-    """text names no term: its only integer constants are arity checks,
-    and with positions, an entry's list and goal-chain positions."""
+def assert_holds_no_term(text: str) -> None:
+    """text names no term: its only integer constants are arity checks and
+    list and goal-chain positions, and its only names its own."""
     tree = ast.parse(text)
-    ints = _arity_checks(tree) | (_positions(tree) if positions else set())
+    ints = _arity_checks(tree) | _positions(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant):
             assert node.value is None or type(node.value) is bool or id(node) in ints, text
     for node in ast.walk(tree):
         name = node.id if isinstance(node, ast.Name) else node.arg if isinstance(node, ast.arg) else None
-        assert name is None or re.fullmatch(r"[kvab]\d+", name) or name in identifiers, name
+        assert name is None or re.fullmatch(r"[kvab]\d+", name) or name in IDENTIFIERS, name
 
 
-# an entry's own names besides a clause's
-ENTRY_IDENTIFIERS = IDENTIFIERS | {"mark", "outer", "stamp", "next_stamp", "ClauseCP", "i", "cl", "goals", "range", "lookup", "candidates"}
+def chain(c) -> list[tuple[machine.Candidates, str]]:
+    """c and each link of the chain its entry hands calls on to, with the
+    source of each one's entry."""
+    out = []
+    while c is not None:
+        text, values = c.source()
+        out.append((c, text))
+        (c,) = [v for v in values if type(v) is machine.Candidates and v is not c] or [None]
+    return out
 
 
-def inlines_every_head(text: str) -> bool:
-    """Whether an entry's source holds its heads, not calls of Clause.run."""
-    return "compile" not in text
-
-
-def test_generated_source_of_every_prelude_clause_holds_no_term():
-    s = Session()
-    count = 0
-    for pred in s.db._preds.values():
-        for cl in pred.clauses or ():
-            assert_holds_no_term(cl.source()[0], IDENTIFIERS)
-            count += 1
-    assert count > 50
+def ran(c) -> list[machine.Candidates]:
+    """c and each link of the chain its compiled entry hands calls on to,
+    as far as they are compiled."""
+    out = []
+    while c is not None and c.run is not None:
+        out.append(c)
+        (c,) = [v for v in c.run.__defaults__ if type(v) is machine.Candidates and v is not c] or [None]
+    return out
 
 
 def test_generated_source_of_every_prelude_entry_holds_no_term():
     s = Session()
-    count = 0
+    lists = clauses_run = 0
     for p, c in candidate_lists(s):
-        text, values = c.source(p)
-        assert_holds_no_term(text, ENTRY_IDENTIFIERS, positions=True)
-        assert inlines_every_head(text)  # within the budget
-        count += 1
-    assert count > 50
+        ((_, text),) = chain(c)  # within the budget: every clause inline
+        assert_holds_no_term(text)
+        lists += 1
+        clauses_run += len(c) if c is p.clauses else 0
+    assert lists > 50
+    # every prelude clause is inline in its predicate's full list
+    assert clauses_run == sum(len(p.clauses or ()) for p in s.db._preds.values())
 
 
 # -- long list literals in clauses ---------------------------------------------
@@ -205,11 +232,9 @@ def test_clause_with_a_ten_thousand_element_list_in_the_head():
     elems, tail = list_parts(got)
     assert len(elems) == n and deref(elems[0]).value == 5 and write_term(tail) == "[]"
     assert len({id(deref(e)) for e in elems[1:]}) == n - 1
-    # the entry is past its budget with this head, so it calls the clause's run
+    # the one clause is past the budget alone, and its entry holds it all
     ((p, entry),) = [(p, c) for p, c in candidate_lists(s) if c.run is not None]
-    text, values = entry.source(p)
-    assert not inlines_every_head(text) and len(text.splitlines()) <= machine._ENTRY_LINES
-    assert_holds_no_term(text, ENTRY_IDENTIFIERS, positions=True)
+    assert ran(entry) == [entry] and entry.run.__code__.co_filename == "<h/2 entry>"
 
 
 def test_clause_with_a_ten_thousand_element_list_in_the_body():
@@ -228,30 +253,42 @@ def test_ten_thousand_facts_called_with_an_unbound_first_argument():
     s = Session(text="".join(f"f({i}).\n" for i in range(n)), prelude=False)
     assert [v.value for v in s.answers("X", "f(X)")] == list(range(n))
     assert answers_str(s, "x", f"f({n - 1})") == ["x"]
-    f = s.db.pred((Atom("f"), 1))
-    every = f.clauses
-    text, values = every.source(f)
-    assert not inlines_every_head(text) and len(text.splitlines()) <= machine._ENTRY_LINES
-    assert every.run.__code__.co_filename == "<f/1 entry>"
-    assert_holds_no_term(text, ENTRY_IDENTIFIERS, positions=True)
+    every = s.db.pred((Atom("f"), 1)).clauses
+    # the enumeration ran through a chain of entries that together hold
+    # every clause once, in order, n to a link, under one name; links of
+    # the same shape share one code object
+    links = ran(every)
+    n = len(links[1])
+    assert len(links) > 2 and all(len(c) == n for c in links[1:-1])
+    assert [cl for c in links[1:] for cl in c] == every[n:]
+    assert {c.run.__code__.co_filename for c in links} == {"<f/1 entry>"}
+    assert len({c.run.__code__ for c in links}) == 2  # a full link's and the last's
+    for c in (every, links[-1]):
+        text = c.source()[0]
+        assert len(text.splitlines()) <= machine._ENTRY_LINES
+        assert_holds_no_term(text)
 
 
 def test_no_entry_passes_the_line_budget():
-    # g<n> has n facts: some fit inline, the rest fall back, one near the edge
+    # g<n> has n facts: some fit inline, the rest are chained, one near the edge
     text = "".join(f"g{n}(k{i},{i}).\n" for n in range(1, 80) for i in range(n))
     s = Session(text=text, prelude=False)
     sizes = []
     for p, c in candidate_lists(s):
-        lines = c.source(p)[0].splitlines()
-        assert len(lines) <= machine._ENTRY_LINES
-        sizes.append((inlines_every_head("\n".join(lines)), len(lines)))
+        links = chain(c)
+        assert [cl for link, _ in links for cl in link[: len(link) if link is not c else None]][: len(c)] == list(c)
+        for _, text in links:
+            assert len(text.splitlines()) <= machine._ENTRY_LINES
+        sizes.append((len(links) == 1, len(links[0][1].splitlines())))
     assert max(size for inlined, size in sizes if inlined) > machine._ENTRY_LINES - 10
     assert not all(inlined for inlined, _ in sizes)
     # past the budget: each head binds the goal's first argument before its
-    # second fails, and is undone
+    # second fails, and is undone, also where the call is handed on to the
+    # next link of the chain
     g = s.db.pred((Atom("g79"), 2))
-    assert not inlines_every_head(g.clauses.source(g)[0])
+    assert len(chain(g.clauses)) > 1
     assert answers_str(s, "X", "g79(X,77)") == ["k77"]
+    assert answers_str(s, "X-Y", "g79(X,Y)", limit=79)[-2:] == ["k77-77", "k78-78"]
 
 
 # -- clause-try behaviour ------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 
 import hornlog.machine as machine
 from hornlog import Atom, Int, Session, Struct, Var, deref
+from hornlog.machine import NO
 
 
 class RVar:
@@ -316,11 +317,48 @@ def canonical(t, numbers=None):
     return t
 
 
+class Runaway(Exception):
+    """hornlog made far more predicate calls or retries than the
+    reference's step limit allows it: a fault that would otherwise loop
+    without end."""
+
+
+def bounded_steps(monkeypatch) -> list[int]:
+    """Make Database.lookup and ClauseCP.retry raise Runaway once the count
+    in the returned cell passes 50,000; a test resets it before each query."""
+    calls = [0]
+
+    def bounded(real):
+        def step(*args):
+            calls[0] += 1
+            if calls[0] > 50_000:
+                raise Runaway
+            return real(*args)
+
+        return step
+
+    monkeypatch.setattr(machine.Database, "lookup", bounded(machine.Database.lookup))
+    monkeypatch.setattr(machine.ClauseCP, "retry", bounded(machine.ClauseCP.retry))
+    return calls
+
+
 def hornlog_answers(session, goal):
+    """What hornlog answers, as Reference.answers gives it. At each answer
+    the trail is checked too: its boundary is the newest choice point's
+    stamp, and with no choice point nothing is trailed."""
     lines: list[str] = []
     session.on_error = lines.append
     g = text(goal)
-    got = [canonical(a) for a in session.answers(g, g, limit=LIMIT)]
+    e = session.new_engine(g, g)
+    got = []
+    while len(got) < LIMIT:
+        ans = e.get()
+        if ans is NO:
+            break
+        got.append(canonical(ans.value))
+        assert e.trail.boundary == (e.cps[-1].stamp if e.cps else 0)
+        assert e.cps or not e.trail.entries
+    e.stop()
     assert len(lines) <= 1, lines
     return got, lines[0].split(": ")[1] if lines else None
 
@@ -350,6 +388,7 @@ def judged_queries(seed):
 def test_hornlog_answers_as_the_reference_solver_does(block, monkeypatch):
     checked = skipped = 0
     budgets = (machine._ENTRY_LINES, 40)
+    calls = bounded_steps(monkeypatch)
     for seed in range(block, 320, 8):
         program, judged, n = judged_queries(seed)
         skipped += n
@@ -358,6 +397,7 @@ def test_hornlog_answers_as_the_reference_solver_does(block, monkeypatch):
             monkeypatch.setattr(machine, "_ENTRY_LINES", budget)
             s = Session(text=program_text(program), prelude=False)
             for goal, want in judged:
+                calls[0] = 0
                 assert hornlog_answers(s, goal) == want, f"seed {seed}, budget {budget}, goal {text(goal)}\n{program_text(program)}"
     # the reference judges most queries it is given
     assert skipped < checked // 3, (checked, skipped)
