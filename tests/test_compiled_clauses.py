@@ -276,7 +276,9 @@ def test_no_entry_passes_the_line_budget():
     sizes = []
     for p, c in candidate_lists(s):
         links = chain(c)
-        assert [cl for link, _ in links for cl in link[: len(link) if link is not c else None]][: len(c)] == list(c)
+        # the links hold the clauses the list's own entry does not, in order
+        held = [cl for link, _ in links[1:] for cl in link]
+        assert (len(held) < len(c) or not c) and c[len(c) - len(held) :] == held
         for _, text in links:
             assert len(text.splitlines()) <= machine._ENTRY_LINES
         sizes.append((len(links) == 1, len(links[0][1].splitlines())))
