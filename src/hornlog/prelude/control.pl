@@ -41,6 +41,10 @@ snoc(Hs-[X|Ts],X,Hs-Ts).
 % Exceptions: a throw is a yield of an exception/1 wrapper. catch runs its
 % goal in a private engine, forwards ordinary answers transparently, and on
 % an exception answer either handles it or rethrows to the next level.
+% Which of these an answer is, and whether a handler matches, is told by
+% clause selection, with no engine of its own. The nonvar guard keeps an
+% unbound answer, such as that of catch(return(_),_,fail), an ordinary
+% answer instead of binding it to exception(_).
 
 throw(E):-return(exception(E)).
 
@@ -49,13 +53,13 @@ catch(Goal,Exception,OnException):-
   get(Engine,Answer),
   catch_cont(Answer,Engine,Goal,Exception,OnException).
 
+catch_cont(the(A),_,_,Exception,OnException):-nonvar(A),A=exception(E),!,
+  catch_handle(E,Exception,OnException).
 catch_cont(the(A),Engine,Goal,Exception,OnException):-
-  if((nonvar(A),A=exception(E)),
-    catch_handle(E,Exception,OnException),
-    catch_forward(A,Engine,Goal,Exception,OnException)).
+  catch_forward(A,Engine,Goal,Exception,OnException).
 
-catch_handle(E,Exception,OnException):-
-  if(E=Exception,OnException,throw(E)).
+catch_handle(E,Exception,OnException):-E=Exception,!,OnException.
+catch_handle(E,_,_):-throw(E).
 
 catch_forward(Goal,_Engine,Goal,_Exception,_OnException).
 catch_forward(_,Engine,Goal,Exception,OnException):-

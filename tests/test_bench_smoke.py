@@ -29,12 +29,12 @@ COUNTED = (
 # the COUNTED metrics of one traced worker, seed 1, smoke size
 PINNED = {
     "resolve": (211, 128, 82, 80, 6),
-    "engines": (480, 547, 414, 364, 99),
+    "engines": (452, 507, 382, 244, 85),
     "clause_store": (141, 174, 148, 227, 23),
 }
 # the unifications of the same runs that succeed: a change of walk order
 # must not change which of them do
-UNIFY_SUCCESSES = {"resolve": 82, "engines": 404, "clause_store": 99}
+UNIFY_SUCCESSES = {"resolve": 82, "engines": 372, "clause_store": 99}
 
 
 def test_bench_smoke_exits_zero():
@@ -64,6 +64,13 @@ def test_traced_smoke_counts_stay_pinned(workload):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
-    assert tuple(metrics[name] for name in COUNTED) == PINNED[workload]
+    counted = tuple(metrics[name] for name in COUNTED)
     successes = round(metrics["terms.unify_success_ratio"] * metrics["terms.unify_calls"])
-    assert successes == UNIFY_SUCCESSES[workload]
+    assert (counted, successes) == (PINNED[workload], UNIFY_SUCCESSES[workload]), (
+        f"{workload} smoke counts moved. A change that moves a count on purpose"
+        " updates the pins and says why (see this module's docstring).\n"
+        f"  pinned:   {PINNED[workload]!r}, {UNIFY_SUCCESSES[workload]}\n"
+        f"  measured: {counted!r}, {successes}\n"
+        f'  PINNED:          "{workload}": {counted!r},\n'
+        f'  UNIFY_SUCCESSES: "{workload}": {successes},'
+    )

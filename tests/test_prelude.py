@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
-from hornlog import write_term
+import pytest
+
+from hornlog import Session, write_term
 
 from conftest import answers_str
 
@@ -240,6 +244,95 @@ def test_catch_exception_binding_flows_to_handler(base):
 
 def test_catch_failing_goal_fails(base):
     assert answers_str(base, "R", "catch(fail,_,R=handled)") == []
+
+
+def test_catch_forwards_an_unbound_yield_as_an_answer(base):
+    # the goal's yield of a variable and then its own answer: neither is
+    # bound to exception(_) and handled
+    assert len(base.answers("X", "catch(return(X),_,fail)")) == 2
+
+
+def test_catch_handler_answers_are_all_answers_of_catch(base):
+    assert answers_str(base, "X", "catch(throw(a),a,member(X,[1,2]))") == ["1", "2"]
+
+
+def test_a_cut_in_the_handler_is_transparent(base):
+    # a cut reached through a metacall is transparent in hornlog, so the
+    # handler's own member/2 keeps its second answer...
+    assert answers_str(base, "X", "catch(throw(a),a,(member(X,[1,2]),!))") == ["1", "2"]
+    # ...and it never prunes a choice point made before catch/3
+    got = answers_str(base, "Y", "(member(Y,[p,q]),catch(throw(a),a,!))")
+    assert got == ["p", "q"]
+
+
+def test_an_inner_catch_that_does_not_match_passes_the_throw_on(base):
+    got = answers_str(base, "X", "catch(catch(throw(f(1)),g(_),true),f(X),true)")
+    assert got == ["1"]
+
+
+def test_an_answer_of_a_user_exception_fact_is_caught_as_a_throw():
+    # a throw is a yield of exception(E), so an answer of the goal
+    # exception(z) cannot be told from throw(z): catch/3 handles it
+    s = Session(text="exception(z).")
+    assert answers_str(s, "E", "catch(exception(z),E,true)") == ["z"]
+
+
+@pytest.mark.parametrize(
+    "goal, spawned",
+    [
+        ("catch(member(X,[a,b]),_,true)", 1),
+        ("catch(throw(x),x,true)", 1),
+        ("catch(throw(x),y,true)", 1),
+        ("catch(catch(throw(x),y,true),x,true)", 2),
+        ("not(true)", 1),
+        ("findall(X,member(X,[a,b]),L)", 1),
+    ],
+)
+def test_engines_spawned_per_construct(goal, spawned):
+    # catch/3 runs its goal in one engine and tells an exception from an
+    # answer by clause selection: no engine per answer or per throw
+    s = Session()
+    before = s.last_id
+    s.answers("X", goal)
+    assert s.last_id - before - 1 == spawned  # less the query's own engine
+
+
+NESTED = """
+ns(0).
+ns(N):-N>0,N1 is N-1,not(nf(N1)).
+nf(N):-N>0,N1 is N-1,not(ns(N1)).
+dc(0).
+dc(N):-N>0,N1 is N-1,catch(dc(N1),_,true).
+df(0).
+df(N):-N>0,N1 is N-1,findall(x,df(N1),[x]).
+"""
+
+
+@pytest.mark.parametrize("pred", ["ns", "dc", "df"])
+def test_constructs_nested_240_deep_answer_once(pred):
+    # a nested get recurses on the host stack: 240 levels of not/1,
+    # catch/3 or findall/3 fit a recursion limit of 1000 (the first
+    # RecursionError is at about 247), and one more host frame per level
+    # would not. The query runs on a fresh thread, so the test's own
+    # stack depth does not count.
+    s = Session(text=NESTED)
+    got = []
+
+    def run():
+        try:
+            got.append(answers_str(s, "ok", f"{pred}(240)"))
+        except RecursionError as e:
+            got.append(e)
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        t = threading.Thread(target=run)
+        t.start()
+        t.join()
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [["ok"]]
 
 
 # -- dynamic database ----------------------------------------------------------------------
