@@ -8,16 +8,19 @@ per resolution step; deep deterministic recursion therefore runs in
 constant space (old goal cells become garbage as soon as no choice point
 references them).
 
-Every call site is resolved once, when its clause is added, to the
-database's record (Pred) for its name/arity, so a goal on the stack is a
-(record, argument tuple) pair, with no goal term built and no key or table
-lookup per call. Every record carries an entry with the builtin signature
-fn(machine, args, rest), and running a goal is one call of its record's
-entry: a builtin, the clause entry of a predicate with clauses, or an
-entry that faults unknown_predicate. The machine's own steps are goals of
-internal records too: a body cut carries its clause's barrier, the goal
-below a query's goal hands out its answer, and an answered machine is left
-a fail goal, so resuming it backtracks into its choice points.
+A compiled clause belongs to no database: each call in its body names its
+name/arity key, so one Clause serves every session that loads it. A call
+is bound to its session's record (Pred) of that key when the code of a
+list of candidate clauses is generated, as the WAM binds a call when its
+code is loaded, so a goal on the stack is a (record, argument tuple) pair,
+with no goal term built and no key or table lookup per call. Every record
+carries an entry with the builtin signature fn(machine, args, rest), and
+running a goal is one call of its record's entry: a builtin, the clause
+entry of a predicate with clauses, or an entry that faults
+unknown_predicate. The machine's own steps are goals of process-wide
+internal records: a body cut carries its clause's barrier, the goal below
+a query's goal hands out its answer, and an answered machine is left a
+fail goal, so resuming it backtracks into its choice points.
 
 Clauses are tried by generated Python code, in the spirit of the WAM's
 get/unify/put instructions and its try_me_else/retry_me_else/trust_me
@@ -152,18 +155,18 @@ class VarSlot:
 
 
 class Clause:
-    """A clause as loaded: its predicate's key, head-argument and body
+    """A clause as compiled: its predicate's key, head-argument and body
     templates, and where it was read (source, line), or None.
 
     Templates are ordinary terms except that variables are VarSlot markers
     and any compound containing one is a (functor, args) pair. Ground
-    subterms are shared, never rebuilt. Each body goal is (pred, args): the
-    record it calls and its argument templates. A cut has args None: it is
-    pushed with its clause's barrier as its argument.
+    subterms are shared, never rebuilt. Each body goal is (key, args): the
+    key it calls, or the internal record _CUT or _METACALL, and its argument
+    templates. A cut has args None: it is pushed with its clause's barrier.
 
-    A clause has no code of its own: it runs only inside the entry of a
-    Candidates that holds it, which matches its head and runs its neck's
-    guards inline.
+    A clause belongs to no database, so many hold the same Clause. It runs
+    only inside the entry of a Candidates that holds it, which matches its
+    head, runs its neck's guards inline and calls that database's records.
     """
 
     __slots__ = ("key", "args", "body", "origin")
@@ -247,9 +250,10 @@ class _ClauseCode:
     goal variable to it.
     """
 
-    def __init__(self, src: _Source, cl: Clause, indent: int, fail: str, keyed: bool = False):
+    def __init__(self, src: _Source, cl: Clause, db: "Database", indent: int, fail: str, keyed: bool = False):
         self.src = src
         self.const = src.const
+        self.preds = db._preds
         self.indent = indent
         self.fail = fail
         self.ntemps = 0
@@ -378,17 +382,19 @@ class _ClauseCode:
         """Emit a call of each of goals' leading guards, through its
         record's fn, that runs fail when it fails; return how many."""
         n = _neck(goals)
-        for pred, args in goals[:n]:
-            self.emit(0, f"if not {self.const(pred.fn)}(m, {self.arguments(args)}, rest):")
+        for key, args in goals[:n]:
+            self.emit(0, f"if not {self.const(self.preds[key].fn)}(m, {self.arguments(args)}, rest):")
             self.emit(1, self.fail)
         return n
 
     def body(self, goals) -> str:
         """Push goals onto rest from the last to the first, each with its
-        argument tuple built, and return the name of the chain; a slot the
-        head did not bind gets a new variable where it is first met."""
+        record and argument tuple, and return the name of the chain; a slot
+        the head did not bind gets a new variable where it is first met."""
         chain = "rest"
         for pred, args in reversed(goals):
+            if type(pred) is tuple:  # a key; never look _CUT or _METACALL up by theirs
+                pred = self.preds[pred]
             if args is None:  # a cut carries its clause's barrier
                 goal = f"({self.const(pred)}, barrier)"
             elif _ground(args):
@@ -440,8 +446,8 @@ def _ground(tpls) -> bool:
 def _neck(goals) -> int:
     """How many of goals' leading calls are of guard builtins."""
     n = 0
-    for pred, _ in goals:
-        if pred.key not in _GUARDS:
+    for key, _ in goals:
+        if key not in _GUARDS:  # _CUT and _METACALL are records, never keys
             break
         n += 1
     return n
@@ -464,10 +470,10 @@ def _first_occurrences(tpls) -> dict:
 ATOM_CUT = Atom("!")
 
 
-def compile_clause(head, body, db: "Database", origin=None) -> Clause:
-    """Compile a clause to templates, resolving each body call site to its
-    record in db. Terms are walked with explicit stacks, so a clause may
-    hold a list of any length the reader accepts."""
+def compile_clause(head, body, origin=None) -> Clause:
+    """Compile a clause to templates, each body call naming its key. Terms
+    are walked with explicit stacks, so a clause may hold a list of any
+    length the reader accepts. The head must be an atom or a compound."""
     slots: dict[Var, VarSlot] = {}
 
     def slot(v):
@@ -511,9 +517,11 @@ def compile_clause(head, body, db: "Database", origin=None) -> Clause:
     if type(head) is Struct:
         key = (head.functor, len(head.args))
         cargs = tuple(tpl(a) for a in head.args)
-    else:
+    elif type(head) is Atom:
         key = (head, 0)
         cargs = ()
+    else:
+        raise ValueError("clause head must be an atom or compound")
     goals: list = []
     work = [body]
     while work:
@@ -528,26 +536,27 @@ def compile_clause(head, body, db: "Database", origin=None) -> Clause:
             goals.append((_CUT, None))
         elif tb is Struct:
             t = tpl(b)
-            goals.append((db.pred((b.functor, len(b.args))), t[1] if type(t) is tuple else b.args))
+            goals.append(((b.functor, len(b.args)), t[1] if type(t) is tuple else b.args))
         elif tb is Atom:
-            goals.append((db.pred((b, 0)), ()))
+            goals.append(((b, 0), ()))
         else:  # a variable, or a term that faults only when it is reached
             goals.append((_METACALL, (tpl(b),)))
     return Clause(key, cargs, tuple(goals), origin)
 
 
 class Pred:
-    """A predicate record: what every call site of one name/arity resolves
-    to. fn is its entry, called as fn(machine, args, rest): the builtin of
-    the key, read from BUILTINS when the record is made, which takes
-    precedence over clauses (None if there are none); otherwise link()
-    makes the record a ClausePred or an UnknownPred as the database
+    """A database's predicate record of one name/arity: what a generated
+    entry binds each call of that key to, and what Database.resolve turns a
+    goal term into. fn is its entry, called as fn(machine, args, rest): the
+    builtin of the key, read from BUILTINS when the record is made, which
+    takes precedence over clauses (None if there are none); otherwise
+    link() makes the record a ClausePred or an UnknownPred as the database
     freezes. Their fn is a method, so a record never refers to itself and
-    is freed with its session. A ClausePred's fn asks Database.lookup for
-    a call's Candidates and runs their generated entry, and runs a call of
-    itself that an entry hands back with its Candidates, in place. clauses is the
-    Candidates of all the clauses, in source order (None if there are
-    none). As the database freezes, index is set to the first-argument
+    is freed with its session. A ClausePred's fn asks Database.lookup for a
+    call's Candidates and runs their generated entry, and runs a call of
+    itself that an entry hands back with its Candidates, in place. clauses
+    is the Candidates of all the clauses, in source order (None if there
+    are none). As the database freezes, index is set to the first-argument
     index of a predicate of two or more clauses whose first arguments are
     not all variables: (Candidates per first-argument key, Candidates of
     the clauses with a variable first argument)."""
@@ -649,9 +658,10 @@ class Candidates(list):
         self.more = more
         self.run = None
 
-    def source(self) -> tuple[str, list]:
+    def source(self, db: "Database") -> tuple[str, list]:
         """The source of this list's entry, and the values to call its
-        make with. A list over the budget gets a new chain each time."""
+        make with, each call of a key bound to db's record of it. A list
+        over the budget gets a new chain each time."""
         params = "m, args, rest, barrier, start=0"
         if not self:
             src = _Source(params)
@@ -660,7 +670,7 @@ class Candidates(list):
         src = _Source(params, _ENTRY_LINES - 3)  # make's own three
         ends: list[int] = []
         try:
-            self.tries(src, len(self), self.more, ends)
+            self.tries(src, db, len(self), self.more, ends)
         except _OverBudget:
             # as many tries as fit with the three lines that hand on
             n = max(1, sum(end + 3 <= src.limit for end in ends))
@@ -669,10 +679,10 @@ class Candidates(list):
                 more = Candidates(self.pred, self.keyed, more)
                 more += self[i : i + n]
             src = _Source(params)
-            self.tries(src, n, more, [])
+            self.tries(src, db, n, more, [])
         return src.text(), src.values()
 
-    def tries(self, src: _Source, n: int, more: Candidates | None, ends: list[int]) -> None:
+    def tries(self, src: _Source, db: "Database", n: int, more: Candidates | None, ends: list[int]) -> None:
         """Emit an entry that tries the first n candidates and then hands
         the call on to more, or, with more None, that runs the nth without
         a choice point. ends gets the length of the source after each try
@@ -680,7 +690,7 @@ class Candidates(list):
         last = n if more is not None else n - 1  # how many tries make a choice point
         body = self[n - 1].body
         neck = _neck(body)
-        loops = more is None and neck < len(body) and body[neck][0] is self.pred
+        loops = more is None and neck < len(body) and body[neck][0] == self.pred.key
         src.emit(2, "trail = m.trail")
         top = 2
         if loops:
@@ -696,7 +706,7 @@ class Candidates(list):
         for i in range(last):
             cl = self[i]
             src.emit(top, f"while start <= {i}:")  # a failed head or guard breaks out
-            code = _ClauseCode(src, cl, top + 1, "break", self.keyed)
+            code = _ClauseCode(src, cl, db, top + 1, "break", self.keyed)
             neck = code.guards(cl.body)
             chain = code.body(cl.body[neck:])
             code.emit(0, f"m.cps.append(ClauseCP(args, rest, {src.const(self)}, {i + 1}, mark, barrier, stamp))")
@@ -711,7 +721,7 @@ class Candidates(list):
             src.emit(top, f"return {src.const(more)}, args")
             return
         cl = self[last]
-        code = _ClauseCode(src, cl, top, "return False", self.keyed)
+        code = _ClauseCode(src, cl, db, top, "return False", self.keyed)
         neck = code.guards(cl.body)
         if not loops:
             code.emit(0, f"m.goals = {code.body(cl.body[neck:])}")
@@ -729,13 +739,13 @@ class Candidates(list):
         if last:
             code.emit(0, "start = 0")
 
-    def compile(self):
-        """Generate run, keep it, and return it. The source is compiled
-        once per process while it stays in the cache: a list of another
-        session, or another link, with the same source reuses its make.
-        Threads that race here each keep an equivalent function; the last
-        one stays."""
-        text, values = self.source()
+    def compile(self, db: "Database"):
+        """Generate run over db's records, keep it, and return it. The
+        source is compiled once per process while it stays in the cache: a
+        list of another session, or another link, with the same source
+        reuses its make. Threads that race here each keep an equivalent
+        function; the last one stays."""
+        text, values = self.source(db)
         name, arity = self.pred.key
         self.run = run = _make(f"<{name.name}/{arity} entry>", text)(*values)
         return run
@@ -746,7 +756,7 @@ def _enter(m: "Machine", candidates: Candidates, args, rest, barrier: int, start
     entry hands back or on, with its list, in place; return what the last
     entry returned, None or False."""
     while True:
-        res = (candidates.run or candidates.compile())(m, args, rest, barrier, start)
+        res = (candidates.run or candidates.compile(m.db))(m, args, rest, barrier, start)
         if res is None or res is False:
             return res
         candidates, args = res
@@ -770,35 +780,21 @@ class Database:
         return p
 
     def add(self, head, body, origin=None):
+        self.add_clause(compile_clause(head, body, origin))
+
+    def add_clause(self, cl: Clause) -> None:
+        """Make a record for each key cl's body calls, which freeze links,
+        so the frozen table never grows; then append cl, which any other
+        database may hold too, to its key's record."""
         if self.frozen:
             raise RuntimeError("database is frozen")
-        if type(deref(head)) not in (Atom, Struct):
-            raise ValueError("clause head must be an atom or compound")
-        cl = compile_clause(head, body, self, origin)
+        for key, _ in cl.body:
+            if type(key) is tuple:
+                self.pred(key)
         p = self.pred(cl.key)
         if p.clauses is None:
             p.clauses = Candidates(p)
         p.clauses.append(cl)
-
-    def include(self, other: "Database") -> None:
-        """Add other's clauses after this database's own, as if their
-        source were loaded here, compiling nothing. Each is a new Clause
-        that shares its key, templates and origin, and whose body calls
-        this database's record of a key where it called other's; the
-        internal cut and call records stay. other is only read, so one
-        open template database can be included by any number of others."""
-        if self.frozen:
-            raise RuntimeError("database is frozen")
-        theirs = other._preds
-        for key, p in theirs.items():
-            mine = self.pred(key)
-            if p.clauses is None:
-                continue
-            if mine.clauses is None:
-                mine.clauses = Candidates(mine)
-            for cl in p.clauses:
-                body = tuple((self.pred(q.key) if theirs.get(q.key) is q else q, a) for q, a in cl.body)
-                mine.clauses.append(Clause(cl.key, cl.args, body, cl.origin))
 
     def freeze(self):
         self.frozen = True

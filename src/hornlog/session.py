@@ -6,9 +6,9 @@ owner. Hubs and threads are handles the same way.
 
 The database is built once (prelude, then user files, then inline text) and
 frozen before any engine runs; all dynamic behavior happens inside engines.
-The prelude is read and compiled to clause templates once per process, into
-a database of its own that is never run; a session links those templates
-into its database, so only its own program is parsed and compiled.
+The prelude is read and compiled once per process, and every session
+appends those same Clause objects to its own records, so only its own
+program is parsed and compiled.
 Machine faults never unwind into the caller: they are printed as one-line
 diagnostics on the error channel and the offending engine answers NO.
 """
@@ -21,8 +21,8 @@ import threading
 import weakref
 from importlib import resources
 
-from . import engines  # registers its builtins before the prelude image is built
-from .machine import EXHAUSTED, NO, Database, Handle, Machine, MachineError, The
+from . import engines  # registers its builtins before any session makes a record
+from .machine import EXHAUSTED, NO, Clause, Database, Handle, Machine, MachineError, The, compile_clause
 from .reader import parse_program, parse_term
 from .terms import Atom, Int, Struct, Var, deref
 from .threads import Hub, ThreadRef
@@ -43,14 +43,13 @@ def _load(db: Database, source: str, name: str) -> None:
 
 
 @functools.cache
-def prelude_image() -> Database:
-    """The prelude read and compiled to clause templates, once per process.
-    It is never frozen and never run: each Session includes it into its own
-    database. Threads that race on the first call may each build one."""
-    db = Database()
-    for name, src in prelude_sources():
-        _load(db, src, name)
-    return db
+def prelude_clauses() -> tuple[Clause, ...]:
+    """The prelude's clauses in load order, read and compiled once per
+    process; every Session appends these same objects to its database.
+    Threads that race on the first call may each compile a tuple."""
+    return tuple(
+        compile_clause(cl.head, cl.body, cl.origin) for name, src in prelude_sources() for cl in parse_program(src, name)
+    )
 
 
 class Session:
@@ -59,9 +58,10 @@ class Session:
     The database holds the prelude (unless prelude is False), the clauses
     of each file in files, then those of text, in that order: clauses of a
     prelude predicate in a file or text come after the prelude's own. The
-    prelude is linked in from prelude_image(), not read again. Faults go to
-    on_error as one line each (stderr by default); on_event(id, event) is
-    called with each event a resume returns."""
+    prelude is not read again: the database holds the very Clause objects
+    of prelude_clauses(). Faults go to on_error as one line each (stderr by
+    default); on_event(id, event) is called with each event a resume
+    returns."""
 
     def __init__(
         self,
@@ -86,7 +86,8 @@ class Session:
         self._pins: dict[int, Handle] = {}
         self._thread = threading.local()
         if prelude:
-            self.db.include(prelude_image())
+            for cl in prelude_clauses():
+                self.db.add_clause(cl)
         for path in files:
             with open(path, "r", encoding="utf-8") as fh:
                 _load(self.db, fh.read(), str(path))

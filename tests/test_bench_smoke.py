@@ -2,10 +2,11 @@
 untraced, and every answer check passes. It catches a change that breaks a
 workload's answers or a name the benchmark's tracer wraps.
 
-The traced counts of the single-threaded workloads' smoke ops are pinned
-too, and so is the number of their unifications that succeed, so a change
-that claims to resolve the same goals the same way has to show it. A
-change that moves a count on purpose updates the pin and says why."""
+The traced counts of the single-threaded workloads are pinned too, for the
+smoke ops at seed 1 and for the full-size ops at seed 7, and so is the
+number of their unifications that succeed, so a change that claims to
+resolve the same goals the same way has to show it. A change that moves a
+count on purpose updates the pin and says why."""
 
 from __future__ import annotations
 
@@ -26,15 +27,19 @@ COUNTED = (
     "terms.copy_cells",
     "session.spawn_calls",
 )
-# the COUNTED metrics of one traced worker, seed 1, smoke size
+# the COUNTED metrics of one traced worker and how many of its unifications
+# succeed (a change of walk order must not change which of them do): at
+# smoke size, seed 1, and at full size, seed 7
 PINNED = {
-    "resolve": (211, 128, 82, 80, 6),
-    "engines": (452, 507, 382, 244, 85),
-    "clause_store": (141, 174, 148, 227, 23),
+    "resolve": ((211, 128, 82, 80, 6), 82),
+    "engines": ((452, 507, 382, 244, 85), 372),
+    "clause_store": ((141, 174, 148, 227, 23), 99),
 }
-# the unifications of the same runs that succeed: a change of walk order
-# must not change which of them do
-UNIFY_SUCCESSES = {"resolve": 82, "engines": 372, "clause_store": 99}
+PINNED_FULL = {
+    "resolve": ((65261, 11688, 8181, 9989, 80), 8181),
+    "engines": ((21481, 27243, 17512, 10204, 4285), 17213),
+    "clause_store": ((16391, 11792, 18629, 39143, 443), 4523),
+}
 
 
 def test_bench_smoke_exits_zero():
@@ -48,12 +53,11 @@ def test_bench_smoke_exits_zero():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-@pytest.mark.parametrize("workload", sorted(PINNED))
-def test_traced_smoke_counts_stay_pinned(workload):
+def assert_traced_counts(workload, size, seed, pinned):
     # the environment run.py gives its workers
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    args = ["--workload", workload, "--seed", "1", "--mode", "traced", "--size", "smoke"]
+    args = ["--workload", workload, "--seed", str(seed), "--mode", "traced", "--size", size]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "worker.py"), *args],
         cwd=ROOT,
@@ -66,11 +70,21 @@ def test_traced_smoke_counts_stay_pinned(workload):
     metrics = json.loads(proc.stdout.splitlines()[-1])["metrics"]
     counted = tuple(metrics[name] for name in COUNTED)
     successes = round(metrics["terms.unify_success_ratio"] * metrics["terms.unify_calls"])
-    assert (counted, successes) == (PINNED[workload], UNIFY_SUCCESSES[workload]), (
-        f"{workload} smoke counts moved. A change that moves a count on purpose"
-        " updates the pins and says why (see this module's docstring).\n"
-        f"  pinned:   {PINNED[workload]!r}, {UNIFY_SUCCESSES[workload]}\n"
-        f"  measured: {counted!r}, {successes}\n"
-        f'  PINNED:          "{workload}": {counted!r},\n'
-        f'  UNIFY_SUCCESSES: "{workload}": {successes},'
+    assert (counted, successes) == pinned, (
+        f"{workload} {size} seed {seed} counts moved. A change that moves a"
+        " count on purpose updates the pins and says why (see this module's"
+        " docstring).\n"
+        f"  pinned:   {pinned!r}\n"
+        f"  measured: {(counted, successes)!r}\n"
+        f'  "{workload}": {(counted, successes)!r},'
     )
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED))
+def test_traced_smoke_counts_stay_pinned(workload):
+    assert_traced_counts(workload, "smoke", 1, PINNED[workload])
+
+
+@pytest.mark.parametrize("workload", sorted(PINNED_FULL))
+def test_traced_full_size_counts_stay_pinned(workload):
+    assert_traced_counts(workload, "full", 7, PINNED_FULL[workload])

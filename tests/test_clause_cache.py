@@ -98,7 +98,7 @@ def test_the_cache_stays_within_its_bound_and_holds_only_code(monkeypatch):
     entry = s.db.pred((Atom("bounded_21"), 1)).clauses
     # a make is code and this module's globals; the terms and records come
     # in as its arguments and are the defaults of the run it returns
-    text, values = entry.source()
+    text, values = entry.source(s.db)
     make = machine._make(names[0], text)
     assert make.__closure__ is None and make.__globals__ is vars(machine)
     assert entry.run.__code__ in make.__code__.co_consts

@@ -88,12 +88,12 @@ def test_generated_code_is_named_after_its_predicate():
     db.add(parse_term("late(1)"), parse_term("true"))  # no origin
     db.freeze()
     late = db.pred((Atom("late"), 1))
-    assert late.clauses.compile().__code__.co_filename == "<late/1 entry>"
+    assert late.clauses.compile(db).__code__.co_filename == "<late/1 entry>"
 
 
 def test_traceback_names_the_entry():
     s = Session(text="p(X):-q(X).\nq(1).\n", prelude=False)
-    run = clauses(s, "p", 1).compile()
+    run = clauses(s, "p", 1).compile(s.db)
     with pytest.raises(ValueError) as e:
         run(SimpleNamespace(trail=None), (), None, 0)  # a wrong argument count fails in the generated code
     assert traceback.extract_tb(e.value.__traceback__)[-1].filename == "<p/1 entry>"
@@ -183,12 +183,12 @@ def assert_holds_no_term(text: str) -> None:
         assert name is None or re.fullmatch(r"[kvab]\d+", name) or name in IDENTIFIERS, name
 
 
-def chain(c) -> list[tuple[machine.Candidates, str]]:
+def chain(c, db) -> list[tuple[machine.Candidates, str]]:
     """c and each link of the chain its entry hands calls on to, with the
-    source of each one's entry."""
+    source of each one's entry over db's records."""
     out = []
     while c is not None:
-        text, values = c.source()
+        text, values = c.source(db)
         out.append((c, text))
         (c,) = [v for v in values if type(v) is machine.Candidates and v is not c] or [None]
     return out
@@ -208,7 +208,7 @@ def test_generated_source_of_every_prelude_entry_holds_no_term():
     s = Session()
     lists = clauses_run = 0
     for p, c in candidate_lists(s):
-        ((_, text),) = chain(c)  # within the budget: every clause inline
+        ((_, text),) = chain(c, s.db)  # within the budget: every clause inline
         assert_holds_no_term(text)
         lists += 1
         clauses_run += len(c) if c is p.clauses else 0
@@ -264,7 +264,7 @@ def test_ten_thousand_facts_called_with_an_unbound_first_argument():
     assert {c.run.__code__.co_filename for c in links} == {"<f/1 entry>"}
     assert len({c.run.__code__ for c in links}) == 2  # a full link's and the last's
     for c in (every, links[-1]):
-        text = c.source()[0]
+        text = c.source(s.db)[0]
         assert len(text.splitlines()) <= machine._ENTRY_LINES
         assert_holds_no_term(text)
 
@@ -275,7 +275,7 @@ def test_no_entry_passes_the_line_budget():
     s = Session(text=text, prelude=False)
     sizes = []
     for p, c in candidate_lists(s):
-        links = chain(c)
+        links = chain(c, s.db)
         # the links hold the clauses the list's own entry does not, in order
         held = [cl for link, _ in links[1:] for cl in link]
         assert (len(held) < len(c) or not c) and c[len(c) - len(held) :] == held
@@ -288,7 +288,7 @@ def test_no_entry_passes_the_line_budget():
     # second fails, and is undone, also where the call is handed on to the
     # next link of the chain
     g = s.db.pred((Atom("g79"), 2))
-    assert len(chain(g.clauses)) > 1
+    assert len(chain(g.clauses, s.db)) > 1
     assert answers_str(s, "X", "g79(X,77)") == ["k77"]
     assert answers_str(s, "X-Y", "g79(X,Y)", limit=79)[-2:] == ["k77-77", "k78-78"]
 

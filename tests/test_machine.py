@@ -23,7 +23,8 @@ from hornlog import (
     write_term,
 )
 from hornlog import machine as machine_module
-from hornlog.machine import ClausePred
+from hornlog.machine import ClausePred, Database
+from hornlog.terms import TRUE
 
 from conftest import answers_str, list_parts, variant
 
@@ -314,6 +315,32 @@ def test_is_error_kills_machine(base):
     ev = m.resume()
     assert type(ev) is MachineError and ev.kind == "type_error"
     assert m.dead
+
+
+@pytest.mark.parametrize(
+    "goal, answers, fault",
+    [
+        ("between(X,3,Y)", [], "instantiation_error: _G"),
+        ("between(a,3,Y)", [], "type_error: a"),
+        ("between(1,3,a)", [], "type_error: a"),
+        ("X is integer(sqrt(0-1))", [], "arith_error: integer(sqrt(0-1))"),
+        ("X is integer(7)", ["7"], None),
+        ("X is max(1,2)", [], "type_error: max(1,2)"),
+        ("get(foo,X)", [], "type_error: foo"),
+    ],
+)
+def test_a_builtin_faults_on_a_bad_argument_with_its_kind_and_culprit(goal, answers, fault):
+    s, lines = _errors("")
+    assert answers_str(s, "X", goal) == answers
+    if fault is None:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith(f"engine 1: {fault}")
+
+
+def test_a_clause_head_that_is_not_callable_is_refused():
+    with pytest.raises(ValueError):
+        Database().add(Int(1), TRUE)
 
 
 # -- memory discipline ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The prelude read and compiled once per process, linked into each session."""
+"""The prelude read and compiled once per process; each session holds the same clauses."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ EXTRA_MEMBER = "member(extra,_).\n"
 
 
 def test_a_second_session_reads_and_compiles_no_prelude_clause(monkeypatch):
-    Session()  # the image exists from here on
+    Session()  # the prelude is compiled from here on
     parsed: list[str] = []
     added: list = []
     real_parse, real_add = session.parse_program, machine.Database.add
@@ -73,11 +73,11 @@ def test_prelude_code_names_and_origins_are_those_of_the_sources():
     got = {p.key: [cl.origin for cl in p.clauses] for p in s.db._preds.values() if p.clauses}
     assert got == want
     for name, arity in want:
-        entry = s.db.pred((name, arity)).clauses.compile()
+        entry = s.db.pred((name, arity)).clauses.compile(s.db)
         assert entry.__code__.co_filename == f"<{name.name}/{arity} entry>"
 
 
-def test_a_dropped_session_is_freed_and_the_image_holds_none_of_it():
+def test_a_dropped_session_is_freed():
     s = Session(text=EXTRA_MEMBER)
     assert answers_str(s, "R", "reverse([1,2],R)") == ["[extra,extra,extra,2,1]"]
     e = s.new_engine("X", "member(X,[a,b])")
@@ -86,15 +86,39 @@ def test_a_dropped_session_is_freed_and_the_image_holds_none_of_it():
     del s, e
     gc.collect()
     assert db() is None
-    image = session.prelude_image()
-    own = {id(p) for p in image._preds.values()}
-    for p in image._preds.values():
-        assert type(p) is machine.Pred  # never linked: the image is not frozen
-        assert p.clauses is None or p.clauses.run is None
-        for cl in p.clauses or ():
-            for q, _ in cl.body:
-                assert id(q) in own or q is machine._CUT or q is machine._METACALL
-    assert not image.frozen
+
+
+def test_sessions_hold_the_prelude_clauses_compiled_once(monkeypatch):
+    clauses = session.prelude_clauses()
+    a, b = Session(), Session(text=EXTRA_MEMBER)
+    for s in (a, b):
+        # a Clause has no __eq__: the lists compare the objects themselves
+        held = [cl for p in s.db._preds.values() for cl in p.clauses or () if cl.origin[0] != "<text>"]
+        assert len(held) == len(clauses)
+        for p in s.db._preds.values():
+            own = [cl for cl in clauses if cl.key == p.key]
+            assert (p.clauses or [])[: len(own)] == own
+    # a session makes no Clause: its prelude is appended, not copied
+    made: list = []
+    real_init = machine.Clause.__init__
+
+    def counted_init(cl, *args):
+        made.append(cl)
+        real_init(cl, *args)
+
+    monkeypatch.setattr(machine.Clause, "__init__", counted_init)
+    s = Session()
+    assert made == []
+    assert answers_str(s, "R", "count_partitions(10,R)") == ["42"]
+    # a clause names the keys it calls; only the body cut and a call of a
+    # variable are records, the two that belong to no database
+    for cl in clauses:
+        for q, _ in cl.body:
+            if type(q) is tuple:
+                name, arity = q
+                assert type(name) is Atom and type(arity) is int
+            else:
+                assert q is machine._CUT or q is machine._METACALL
 
 
 def test_a_session_without_prelude_has_no_member():

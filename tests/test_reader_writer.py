@@ -104,6 +104,25 @@ def test_parse_error_location():
     assert e.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        ("'abc", "unterminated quoted atom", 1),
+        # a quoted atom may span a newline: the error after it is on line 2
+        ("f('a\nb' x)", "expected ')', found 'x'", 2),
+        ("'a\nb' x", "unexpected 'x' after term", 2),
+        ("[a b]", "expected ',', '|' or ']', found 'b'", 1),
+        (")", "unexpected ')'", 1),
+        ("f(", "unexpected end of input", 1),
+        ("a. b", "unexpected 'b' after term", 1),
+    ],
+)
+def test_a_term_that_does_not_read_says_what_and_where(text, message, line):
+    with pytest.raises(ParseError) as e:
+        parse_term(text)
+    assert (e.value.message, e.value.line) == (message, line)
+
+
 @pytest.mark.parametrize("opening, closing", [("f(", ")"), ("(", ")"), ("[", "]")])
 def test_deep_nesting_is_a_parse_error(opening, closing):
     ok = opening * MAX_NESTING + "a" + closing * MAX_NESTING
