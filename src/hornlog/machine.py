@@ -241,13 +241,20 @@ class _ClauseCode:
     below the indent whatever the depth of its term, so the source is
     linear in the clause and meets none of the compiler's nesting limits.
 
-    The head is matched in pre-order. A compound's goal subterm is checked
-    and its arguments are unpacked into the temporaries of the steps below
-    it. Where that subterm is an unbound variable, or the compound lies
-    inside one being built, the compound is built instead: its arguments'
-    first slot occurrences get new variables, the steps below it see None
-    and skip, and a closing step after them makes the Struct and binds the
-    goal variable to it.
+    The head is matched in one pre-order walk, which also decides where
+    each slot occurs first: where the walk first unpacks it, as the WAM
+    emits get_variable for the first occurrence its instruction order
+    meets. The head's own arguments are unpacked first, then each
+    compound's arguments as the walk opens it, so an argument comes before
+    its subterms: q([X|_],X) takes X from its second argument and builds
+    [X|_] around it. A compound's goal subterm is checked and its arguments
+    are unpacked into the temporaries of the steps below it. Where that
+    subterm is an unbound variable, or the compound lies inside one being
+    built, the compound is built instead: its arguments' first slot
+    occurrences get new variables, the steps below it see None and skip,
+    and a closing step after them makes the Struct and binds the goal
+    variable to it. Once the head is done, assigned holds exactly its
+    slots, and the body makes the others where it first meets them.
     """
 
     def __init__(self, src: _Source, cl: Clause, db: "Database", indent: int, fail: str, keyed: bool = False):
@@ -258,8 +265,7 @@ class _ClauseCode:
         self.fail = fail
         self.ntemps = 0
         self.built: dict[int, str] = {}  # id of a compound template -> its Struct's name
-        self.first = _first_occurrences(cl.args)
-        self.assigned = set(self.first)  # slots that hold a value
+        self.assigned: set[int] = set()  # slots that hold a value
         self.head(cl.args, keyed)
 
     def emit(self, depth: int, line: str) -> None:
@@ -288,13 +294,17 @@ class _ClauseCode:
 
     # -- head ----------------------------------------------------------------
 
-    def unpacked(self, parent, tpls):
+    def unpacked(self, tpls):
         """Names to unpack a compound's goal arguments into, the slots that
         occur first there, and the (name, template) of each argument that
-        needs a step: a slot's first occurrence just takes its subterm."""
+        needs a step: a slot's first occurrence just takes its subterm. A
+        slot is first where it is first unpacked, and it is marked as
+        holding a value here: the caller assigns it before any step."""
         names, firsts, steps = [], [], []
-        for i, t in enumerate(tpls):
-            if type(t) is VarSlot and self.first[t.index] == (parent, i):
+        assigned = self.assigned
+        for t in tpls:
+            if type(t) is VarSlot and t.index not in assigned:
+                assigned.add(t.index)
                 names.append(f"v{t.index}")
                 firsts.append(names[-1])
             else:
@@ -305,22 +315,25 @@ class _ClauseCode:
 
     def head(self, tpls, keyed: bool) -> None:
         """keyed: the goal's first argument is bound to a term with the key
-        of tpls[0], when that is not a slot, as lookup selected it. It
-        relies on freeze keying templates as lookup keys terms; leaving the
-        test out measured 3-4% of resolve's ops_per_s."""
-        names, _, steps = self.unpacked(None, tpls)
+        of tpls[0], when that is not a slot, as lookup selected it: the
+        same atom, an integer of the same value, or a compound of the same
+        functor and arity; so that test is left out. It relies on freeze
+        keying templates as lookup keys terms; leaving the test out
+        measured 3-4% of resolve's ops_per_s."""
+        names, _, steps = self.unpacked(tpls)
         if names:
             self.emit(0, f"{', '.join(names)}, = args")
         # (temporary, template, holds a goal subterm, is a closing step):
         # the temporary of a step that does not hold one may be None
         work = [(name, t, True, False) for name, t in reversed(steps)]
-        if keyed and type(tpls[0]) in (Atom, tuple):
-            # an atom matches already; a compound has its functor and arity
+        if keyed and type(tpls[0]) in (Atom, Int, tuple):
+            # an atom or an integer matches already; a compound has its
+            # functor and arity
             name, t, _, _ = work.pop()
             if type(t) is tuple:
                 self.emit(0, f"while type({name}) is Var:")
                 self.emit(1, f"{name} = {name}.ref")
-                names, _, steps = self.unpacked(id(t), t[1])
+                names, _, steps = self.unpacked(t[1])
                 self.emit(0, f"{', '.join(names)}, = {name}.args")
                 work.extend((n, a, True, False) for n, a in reversed(steps))
         while work:
@@ -358,7 +371,7 @@ class _ClauseCode:
         building where the subterm is an unbound variable or None. Returns
         the steps of its arguments."""
         functor, targs = t
-        names, firsts, steps = self.unpacked(id(t), targs)
+        names, firsts, steps = self.unpacked(targs)
         self.emit(
             0,
             f"if type({name}) is Struct and {name}.functor is {self.const(functor)}"
@@ -370,8 +383,6 @@ class _ClauseCode:
             self.emit(1, f"{v} = Var()")
         if steps:
             self.emit(1, f"{' = '.join(n for n, _ in steps)} = None")
-        elif not firsts:
-            self.emit(1, "pass")
         self.emit(0, "else:")
         self.emit(1, self.fail)
         return steps
@@ -412,31 +423,24 @@ class _ClauseCode:
         return f"({', '.join(self.build(a) for a in args)},)"
 
     def build(self, tpl) -> str:
-        """Emit the statements that build tpl and return its name: new
-        variables in pre-order, then the Structs bottom-up."""
-        if type(tpl) is not VarSlot and type(tpl) is not tuple:
-            return self.const(tpl)
+        """Emit the statements that build tpl and return its name, in one
+        post-order walk: a slot gets a new variable where the walk first
+        meets it, and each Struct is made once its compound arguments are."""
         assigned = self.assigned
-        work = [tpl]
-        while work:
-            t = work.pop()
-            if type(t) is VarSlot:
-                if t.index not in assigned:
-                    assigned.add(t.index)
-                    self.emit(0, f"v{t.index} = Var()")
-            elif type(t) is tuple:
-                work.extend(reversed(t[1]))
-        if type(tpl) is VarSlot:
-            return f"v{tpl.index}"
         work = [(tpl, False)]
         while work:
-            t, done = work.pop()
-            if done:
+            t, made = work.pop()
+            if made:
                 self.struct(0, t)
-            else:
+            elif type(t) is tuple:
                 work.append((t, True))
-                work.extend((a, False) for a in t[1] if type(a) is tuple)
-        return self.built[id(tpl)]
+                work.extend((a, False) for a in reversed(t[1]))
+            elif type(t) is VarSlot and t.index not in assigned:
+                assigned.add(t.index)
+                self.emit(0, f"v{t.index} = Var()")
+        if type(tpl) is VarSlot:
+            return f"v{tpl.index}"
+        return self.built[id(tpl)] if type(tpl) is tuple else self.const(tpl)
 
 
 def _ground(tpls) -> bool:
@@ -451,20 +455,6 @@ def _neck(goals) -> int:
             break
         n += 1
     return n
-
-
-def _first_occurrences(tpls) -> dict:
-    """Where each head slot occurs first, in pre-order: (id of the
-    enclosing compound template, or None for a head argument; position)."""
-    first: dict[int, tuple] = {}
-    work = [(None, i, t) for i, t in reversed(list(enumerate(tpls)))]
-    while work:
-        parent, i, t = work.pop()
-        if type(t) is VarSlot:
-            first.setdefault(t.index, (parent, i))
-        elif type(t) is tuple:
-            work.extend((id(t), j, t[1][j]) for j in reversed(range(len(t[1]))))
-    return first
 
 
 ATOM_CUT = Atom("!")
@@ -637,8 +627,8 @@ class Candidates(list):
     candidate while lookup returns this list; for another list it leaves
     the continuation in m.goals and returns (candidates, args), which runs
     as ClausePred.fn runs it. A keyed list, which lookup selects only for a
-    first argument of its key, leaves that argument's functor or atom test
-    out of its heads.
+    first argument of its key, leaves that argument's functor, atom or
+    integer test out of its heads.
 
     Where the inlined clauses would take the source past _ENTRY_LINES, the
     entry holds the first n that fit, at least one, and hands the call on

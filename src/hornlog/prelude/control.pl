@@ -8,12 +8,8 @@ if_any(Cond,Then,Else):-
 
 select_then_or_else(no,_,_,_,Else):-Else.
 select_then_or_else(the(BoundCond),Engine,Cond,Then,_):-
-  backtrack_over_then(BoundCond,Engine,Cond,Then).
-
-backtrack_over_then(Cond,_,Cond,Then):-Then.
-backtrack_over_then(_,Engine,Cond,Then):-
-  get(Engine,the(NewBoundCond)),
-  backtrack_over_then(NewBoundCond,Engine,Cond,Then).
+  element_of_cont(Engine,BoundCond,Cond),
+  Then.
 
 % First-solution if-then-else: Cond gets one shot, its bindings propagate.
 % Its engine is freed as soon as nothing reaches it, like every engine.

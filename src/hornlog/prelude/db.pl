@@ -23,8 +23,6 @@ server_task_delete(X,Xs,NewXs,YesNo):-select_nonvar(X,Xs,NewXs),!,
   YesNo=yes(X).
 server_task_delete(_,Xs,Xs,no).
 
-server_task_stop(E):-stop(E).
-
 select_nonvar(X,XXs,Xs):-nonvar(XXs),XXs=[X|Xs].
 select_nonvar(X,YXs,[Y|Ys]):-nonvar(YXs),YXs=[Y|Xs],
   select_nonvar(X,Xs,Ys).

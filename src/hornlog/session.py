@@ -191,15 +191,13 @@ class Session:
             raise ValueError("hub timeout must be from 0 to threading.TIMEOUT_MAX seconds")
         return self._add(Hub(timeout_ms))
 
-    def run_bg(self, engine: Machine) -> ThreadRef | None:
-        return self.run_bg_id(engine.id)
-
-    def run_bg_id(self, eid: int) -> ThreadRef | None:
+    def run_bg(self, machine: Machine) -> ThreadRef | None:
         """Move an engine onto its own thread; the handle stops resolving.
-        Fails on a running engine, such as one given its own handle, whose
-        resume is still on a host stack."""
-        machine = self.lookup(eid, Machine)
-        if machine is None or machine.running or machine.dead:
+        Fails on an engine its table entry no longer holds (moved already,
+        or of another session), on a dead one, and on a running one, such
+        as one given its own handle, whose resume is still on a host stack."""
+        eid = machine.id
+        if self.lookup(eid, Machine) is not machine or machine.running or machine.dead:
             return None
         if self._handles.pop(eid, None) is None:
             return None  # another thread moved it first
@@ -219,8 +217,7 @@ class Session:
         """Run a goal to exhaustion on a fresh engine and thread."""
         if isinstance(goal, str):
             goal = parse_term(goal)
-        machine = self._add(Machine(self, Var(), goal))
-        return self.run_bg_id(machine.id)
+        return self.run_bg(self.spawn(Var(), goal))
 
     def current_thread(self) -> ThreadRef:
         """The calling thread's record, made on first use."""

@@ -75,7 +75,8 @@ def _bi_bg(m, args, rest):
 
 @builtin("run_bg", 2)
 def _bi_run_bg(m, args, rest):
-    tref = m.session.run_bg_id(handle_id(args[0], Machine))
+    machine = m.session.lookup(handle_id(args[0], Machine), Machine)
+    tref = None if machine is None else m.session.run_bg(machine)
     if tref is None:
         return False
     return unify(args[1], tref.term, m.trail)

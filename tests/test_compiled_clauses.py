@@ -371,6 +371,57 @@ def test_head_bindings_are_undone_on_backtracking(tries):
     assert got[0].startswith("1-f(k,h(_G") and got[1].startswith("2-_G")
 
 
+# -- one walk per template: first occurrences, keyed integers, build order -----
+
+
+@pytest.fixture
+def unify_calls(monkeypatch) -> list:
+    """The calls of unify that generated code and machine.py's builtins
+    make; generated code reads it from the module's globals."""
+    calls, unify = [], machine.unify
+
+    def counted(a, b, trail):
+        calls.append((a, b))
+        return unify(a, b, trail)
+
+    monkeypatch.setattr(machine, "unify", counted)
+    return calls
+
+
+def test_a_head_argument_is_first_before_its_subterms(unify_calls):
+    # X is first as q/2's second argument, so [X|_] is built around the
+    # goal's 5 itself, not around a new variable unified with it afterwards
+    s = Session(text="q([X|_],X).", prelude=False)
+    (got,) = answers_str(s, "L", "q(L,5)")
+    assert got.startswith("[5|_G")
+    assert unify_calls == []
+
+
+def test_a_keyed_entry_skips_the_integer_test_lookup_made(unify_calls):
+    s = Session(text="c(0,a).\nc(1,b).\n", prelude=False)
+    assert answers_str(s, "Y", "c(0,Y)") == ["a"]
+    assert unify_calls == []
+    assert answers_str(s, "Y", "c(2,Y)") == []  # lookup selects no list
+    assert answers_str(s, "X-Y", "c(X,Y)") == ["0-a", "1-b"]  # the unkeyed list binds X
+
+
+def test_body_variables_are_made_left_to_right(monkeypatch):
+    captured = []
+
+    def capture(m, args, rest):
+        captured.append(deref(args[0]))
+        return True
+
+    monkeypatch.setitem(machine.BUILTINS, (Atom("capture"), 1), capture)
+    s = Session(text="p:-capture(f(A,g(B),C)).", prelude=False)
+    assert answers_str(s, "x", "p") == ["x"]
+    (f,) = captured
+    a, g, c = (deref(x) for x in f.args)
+    b = deref(g.args[0])
+    assert all(type(v) is Var for v in (a, b, c))
+    assert a.serial < b.serial < c.serial
+
+
 # -- first-call compilation under threads -----------------------------------------
 
 STRESS = NREV + """

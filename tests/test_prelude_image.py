@@ -77,6 +77,13 @@ def test_prelude_code_names_and_origins_are_those_of_the_sources():
         assert entry.__code__.co_filename == f"<{name.name}/{arity} entry>"
 
 
+def test_every_call_in_the_prelude_has_clauses_or_a_builtin():
+    clauses = session.prelude_clauses()
+    defined = {cl.key for cl in clauses} | set(machine.BUILTINS)
+    called = {key for cl in clauses for key, _ in cl.body if type(key) is tuple}
+    assert called - defined == set()
+
+
 def test_a_dropped_session_is_freed():
     s = Session(text=EXTRA_MEMBER)
     assert answers_str(s, "R", "reverse([1,2],R)") == ["[extra,extra,extra,2,1]"]

@@ -115,6 +115,7 @@ def test_parse_error_location():
         (")", "unexpected ')'", 1),
         ("f(", "unexpected end of input", 1),
         ("a. b", "unexpected 'b' after term", 1),
+        ("a = b = c", "unexpected '=' after term", 1),  # = is xfx
     ],
 )
 def test_a_term_that_does_not_read_says_what_and_where(text, message, line):

@@ -5,14 +5,22 @@ values (str atoms, int integers, RVar variables, (functor, *args) tuples),
 substitutions are dicts copied on each binding, and resolution is a
 recursive generator. hornlog must give the same answers, in the same order
 and number, with the same bindings up to variable renaming, and fault with
-the same kind at the same point. Each program runs twice: at the default
-entry budget, and with the budget so low that every list of two or more
-clauses is tried through a chain of entries, so choice points re-enter
+the same kinds at the same points. Each program runs twice: at the
+default entry budget, and with the budget so low that every list of two or
+more clauses is tried through a chain of entries, so choice points re-enter
 mid-chain.
+
+A second set of programs also calls the prelude's findall/3, if/3 and
+not/1 on calls of lower predicates, so no cut is metacalled. Their
+reference is plain: findall/3 lists every answer, each renamed fresh;
+if/3 commits to the first answer of its condition; not/1 succeeds when
+its goal has none. Each goal runs in an engine of its own, so a fault
+there ends that engine's answers with one diagnostic, as get never raises.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -43,12 +51,15 @@ class Cut(Exception):
 
 class Skip(Exception):
     """The reference cannot judge this query: a binding would build a
-    cyclic term, or the search goes too deep or takes too many steps."""
+    cyclic term, the search goes too deep or takes too many steps, or a
+    walk meets too many nodes of a term that shares its subterms."""
 
 
 GUARDS = {"=", "==", "\\==", "var", "nonvar", "is", "<", "=:="}
+CONSTRUCTS = ("findall", "if", "not")
 MAX_DEPTH = 200
 MAX_STEPS = 4000
+MAX_NODES = 5000  # per walk of a term: a clause such as p([X|T]):-p(T,[X|X]) doubles one
 LIMIT = 12  # answers compared per query
 
 
@@ -60,20 +71,24 @@ def walk(t, s):
 
 def occurs(v, t, s) -> bool:
     work = [t]
-    while work:
+    for _ in range(MAX_NODES):
+        if not work:
+            return False
         t = walk(work.pop(), s)
         if t is v:
             return True
         if type(t) is tuple:
             work.extend(t[1:])
-    return False
+    raise Skip
 
 
 def unify(a, b, s):
     """A new substitution that unifies a and b under s, or None."""
     s = dict(s)
     work = [(a, b)]
-    while work:
+    for _ in range(MAX_NODES):
+        if not work:
+            return s
         a, b = work.pop()
         a, b = walk(a, s), walk(b, s)
         if a is b:
@@ -92,14 +107,31 @@ def unify(a, b, s):
             work.extend(zip(a[1:], b[1:]))
         elif a != b:
             return None
-    return s
+    raise Skip
+
+
+def renamed(t, fresh):
+    """t with each variable replaced by its own in fresh, made on first use."""
+    if type(t) is RVar:
+        return fresh.setdefault(t, RVar(t.name))
+    if type(t) is tuple:
+        return (t[0], *(renamed(a, fresh) for a in t[1:]))
+    return t
 
 
 def resolved(t, s):
-    t = walk(t, s)
-    if type(t) is tuple:
-        return (t[0], *(resolved(a, s) for a in t[1:]))
-    return t
+    """t with each bound variable replaced by its value."""
+    met = 0
+
+    def value(t):
+        nonlocal met
+        met += 1
+        if met > MAX_NODES:
+            raise Skip
+        t = walk(t, s)
+        return (t[0], *(value(a) for a in t[1:])) if type(t) is tuple else t
+
+    return value(t)
 
 
 def evaluate(t, s) -> int:
@@ -119,19 +151,13 @@ class Reference:
     def __init__(self, program):
         self.program = program  # (name, arity) -> [(head, body)]
         self.steps = 0
+        self.faults: list[str] = []  # the kind of each fault, in order
 
-    def rename(self, clause):
+    @staticmethod
+    def rename(clause):
         fresh: dict = {}
-
-        def copy(t):
-            if type(t) is RVar:
-                return fresh.setdefault(t, RVar(t.name))
-            if type(t) is tuple:
-                return (t[0], *(copy(a) for a in t[1:]))
-            return t
-
         head, body = clause
-        return copy(head), [copy(g) for g in body]
+        return renamed(head, fresh), [renamed(g, fresh) for g in body]
 
     def solve(self, goals, s, depth):
         """Each substitution that proves goals, a chain (goal, cut token,
@@ -152,6 +178,9 @@ class Reference:
         if g == "fail":
             return
         name, args = g[0], g[1:]
+        if name in CONSTRUCTS:
+            yield from self.construct(name, args, rest, s, depth)
+            return
         if name in GUARDS:
             s = self.guard(name, args, s)
             if s is not None:
@@ -173,6 +202,34 @@ class Reference:
                     return
                 raise
 
+    def engine(self, goal, s, depth):
+        """Each substitution that proves goal in an engine of its own: a
+        fault ends them, and is noted."""
+        try:
+            yield from self.solve((goal, object(), None), s, depth + 1)
+        except Fault as f:
+            self.faults.append(f.kind)
+
+    def construct(self, name, args, rest, s, depth):
+        """Each substitution that proves findall/3, if/3 or not/1, then rest."""
+        if name == "findall":
+            template, goal, result = args
+            answers = [renamed(resolved(template, s1), {}) for s1 in self.engine(goal, s, depth)]
+            found = "[]"
+            for answer in reversed(answers):
+                found = (".", answer, found)
+            s = unify(result, found, s)
+        else:
+            cond, then, other = args if name == "if" else (args[0], "fail", "true")
+            s1 = next(self.engine(cond, s, depth), None)
+            if s1 is None:
+                rest = (other, object(), rest)
+            else:  # the condition's bindings are those of its answer's copy
+                s = unify(cond, renamed(resolved(cond, s1), {}), s)
+                rest = (then, object(), rest)
+        if s is not None:
+            yield from self.solve(rest, s, depth + 1)
+
     @staticmethod
     def guard(name, args, s):
         if name == "=":
@@ -189,26 +246,30 @@ class Reference:
         return s if (a < b if name == "<" else a == b) else None
 
     def answers(self, goal):
-        """Up to LIMIT resolved instances of goal, and the fault kind that
-        ended the search early, or None."""
+        """Up to LIMIT resolved instances of goal, and the kind of each
+        fault in order: an inner engine's, and last the one that ended the
+        search early, if one did."""
         self.steps = 0
+        self.faults = []
         out = []
-        try:
-            for s in self.solve((goal, object(), None), {}, 0):
-                out.append(resolved(goal, s))
-                if len(out) == LIMIT:
-                    break
-        except Fault as f:
-            return out, f.kind
-        return out, None
+        for s in self.engine(goal, {}, -1):
+            out.append(resolved(goal, s))
+            if len(out) == LIMIT:
+                break
+        return out, self.faults
 
 
 # -- random programs -------------------------------------------------------------
 
 
 class Gen:
-    def __init__(self, rng: random.Random):
+    """Random programs; with constructs, bodies also call findall/3, if/3
+    and not/1 on calls of lower predicates."""
+
+    def __init__(self, rng: random.Random, constructs: bool = False):
         self.rng = rng
+        self.constructs = constructs
+        self.serial = itertools.count()
 
     def term(self, pool, depth=2):
         rng = self.rng
@@ -230,17 +291,38 @@ class Gen:
             return "a"
         return (rng.choice("+-"), rng.choice([*pool, 1, 2]), rng.randint(0, 2))
 
+    def call(self, pool, lower):
+        rng = self.rng
+        name, arity = rng.choice(lower)
+        return (name, *(rng.choice(pool) if rng.random() < 0.6 else self.term(pool, 1) for _ in range(arity)))
+
+    def engine_call(self, pool, lower):
+        """A call of a lower predicate whose arguments are mostly variables
+        of its own, so that it answers more often than a call over the
+        clause's variables; and those variables."""
+        rng = self.rng
+        name, arity = rng.choice(lower)
+        own = [RVar(f"W{next(self.serial)}") for _ in range(arity)]
+        return (name, *(w if rng.random() < 0.7 else self.term(pool, 1) for w in own)), own
+
     def goal(self, pool, lower):
         rng = self.rng
         roll = rng.random()
         if roll < 0.4:
             if lower:
-                name, arity = rng.choice(lower)
-                return (name, *(rng.choice(pool) if rng.random() < 0.6 else self.term(pool, 1) for _ in range(arity)))
+                return self.call(pool, lower)
         elif roll < 0.5:
             return "!"
         elif roll < 0.52:
             return rng.choice(["true", "fail"])
+        elif self.constructs and lower and roll < 0.72:
+            name = rng.choice(CONSTRUCTS)
+            goal, own = self.engine_call(pool, lower)
+            if name == "findall":
+                return (name, self.term(own, 1), goal, rng.choice(pool))
+            if name == "if":
+                return (name, goal, *(self.call(pool + own, lower) for _ in range(2)))
+            return (name, goal)
         op = rng.choice(["=", "=", "==", "\\==", "var", "nonvar", "is", "<", "=:="])
         if op in ("var", "nonvar"):
             return (op, rng.choice(pool))
@@ -258,6 +340,10 @@ class Gen:
         pool = [RVar(f"V{i}") for i in range(rng.randint(1, 4))]
         args = [self.term(pool) for _ in range(arity)]
         body = [self.goal(pool, lower) for _ in range(rng.randint(0, 3))]
+        if self.constructs and not lower and rng.random() < 0.5:
+            # the lowest predicate is mostly facts, so that its calls from
+            # an engine answer often, and differently
+            body = []
         if rng.random() < 0.25:
             # a call of itself on the tail of a list, past any guards: the
             # entry runs it in place when this clause runs without a choice point
@@ -359,15 +445,14 @@ def hornlog_answers(session, goal):
         assert e.trail.boundary == (e.cps[-1].stamp if e.cps else 0)
         assert e.cps or not e.trail.entries
     e.stop()
-    assert len(lines) <= 1, lines
-    return got, lines[0].split(": ")[1] if lines else None
+    return got, [line.split(": ")[1] for line in lines]
 
 
-def judged_queries(seed):
+def judged_queries(seed, constructs=False):
     """A seeded program, and each of its queries the reference judges with
     what it answers."""
     rng = random.Random(seed)
-    gen = Gen(rng)
+    gen = Gen(rng, constructs)
     keys, program = gen.program()
     judged, skipped = [], 0
     for i in range(4):
@@ -384,20 +469,31 @@ def judged_queries(seed):
     return program, judged, skipped
 
 
-@pytest.mark.parametrize("block", range(8))
-def test_hornlog_answers_as_the_reference_solver_does(block, monkeypatch):
+def check_block(block, monkeypatch, constructs=False):
+    """Check the seeds of block against the reference, with the prelude
+    loaded where the programs call its constructs."""
     checked = skipped = 0
     budgets = (machine._ENTRY_LINES, 40)
     calls = bounded_steps(monkeypatch)
     for seed in range(block, 320, 8):
-        program, judged, n = judged_queries(seed)
+        program, judged, n = judged_queries(seed, constructs)
         skipped += n
         checked += len(judged)
         for budget in budgets:
             monkeypatch.setattr(machine, "_ENTRY_LINES", budget)
-            s = Session(text=program_text(program), prelude=False)
+            s = Session(text=program_text(program), prelude=constructs)
             for goal, want in judged:
                 calls[0] = 0
                 assert hornlog_answers(s, goal) == want, f"seed {seed}, budget {budget}, goal {text(goal)}\n{program_text(program)}"
     # the reference judges most queries it is given
     assert skipped < checked // 3, (checked, skipped)
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_hornlog_answers_as_the_reference_solver_does(block, monkeypatch):
+    check_block(block, monkeypatch)
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_findall_if_and_not_answer_as_the_reference_solver_does(block, monkeypatch):
+    check_block(block, monkeypatch, constructs=True)

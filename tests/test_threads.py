@@ -147,6 +147,18 @@ def test_run_bg_hides_the_engine(base):
     tref.join()
 
 
+def test_run_bg_refuses_an_engine_its_table_does_not_hold():
+    # two sessions number their engines alike: each moves only its own
+    s1, s2 = Session(prelude=False, text="p."), Session(prelude=False, text="p.")
+    e1, e2 = s1.new_engine("x", "p"), s2.new_engine("x", "p")
+    assert e1.id == e2.id
+    assert s2.run_bg(e1) is None
+    assert write_term(e2.get().value) == "x"
+    tref = s1.run_bg(e1)
+    assert tref is not None and s1.run_bg(e1) is None  # moved already
+    tref.join()
+
+
 def test_run_bg_on_dead_engine_fails(base):
     e = base.new_engine("X", "member(X,[1])")
     e.stop()
@@ -245,6 +257,7 @@ def test_an_id_of_one_kind_never_resolves_as_another():
     assert after_hub("run_bg('$engine'(I),_)") == ["no"]
     assert after_hub("join_thread('$thread'(I))") == ["no"]
     assert after_hub("(new_engine(_,true,E),E='$engine'(J),put('$hub'(J),x))") == ["no"]
+    assert after_hub("(new_engine(_,true,E),E='$engine'(J),collect('$hub'(J),_))") == ["no"]
     # stop on a hub's id leaves the hub in place
     assert after_hub("(stop('$engine'(I)),put(H,x),collect(H,x))") == ["yes"]
     assert lines == []
