@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engines import NO
+from .machine import NO
 from .reader import ParseError, parse_term_with_names
 from .session import PRELUDE_FILES, Session, prelude_sources
 from .terms import Atom, Struct, deref

@@ -18,9 +18,10 @@ carries an entry with the builtin signature fn(machine, args, rest), and
 running a goal is one call of its record's entry: a builtin, the clause
 entry of a predicate with clauses, or an entry that faults
 unknown_predicate. The machine's own steps are goals of process-wide
-internal records: a body cut carries its clause's barrier, the goal below
-a query's goal hands out its answer, and an answered machine is left a
-fail goal, so resuming it backtracks into its choice points.
+internal records: a body cut carries the height the choice-point stack
+had when its call was entered, the goal below a query's goal hands out
+its answer, and an answered machine is left a fail goal, so resuming it
+backtracks into its choice points.
 
 Clauses are tried by generated Python code, in the spirit of the WAM's
 get/unify/put instructions and its try_me_else/retry_me_else/trust_me
@@ -162,7 +163,7 @@ class Clause:
     and any compound containing one is a (functor, args) pair. Ground
     subterms are shared, never rebuilt. Each body goal is (key, args): the
     key it calls, or the internal record _CUT or _METACALL, and its argument
-    templates. A cut has args None: it is pushed with its clause's barrier.
+    templates. A cut has args None: it is pushed with its call's barrier.
 
     A clause belongs to no database, so many hold the same Clause. It runs
     only inside the entry of a Candidates that holds it, which matches its
@@ -401,13 +402,14 @@ class _ClauseCode:
     def body(self, goals) -> str:
         """Push goals onto rest from the last to the first, each with its
         record and argument tuple, and return the name of the chain; a slot
-        the head did not bind gets a new variable where it is first met."""
+        the head did not bind gets a new variable where it is first met. A
+        cut gets len(m.cps), its call's barrier, as ClauseCP tells."""
         chain = "rest"
         for pred, args in reversed(goals):
             if type(pred) is tuple:  # a key; never look _CUT or _METACALL up by theirs
                 pred = self.preds[pred]
-            if args is None:  # a cut carries its clause's barrier
-                goal = f"({self.const(pred)}, barrier)"
+            if args is None:  # a cut carries its call's barrier
+                goal = f"({self.const(pred)}, len(m.cps))"
             elif _ground(args):
                 goal = self.const((pred, args))
             else:
@@ -567,13 +569,14 @@ class Pred:
 class ClausePred(Pred):
     __slots__ = ()
 
-    def fn(self, m: "Machine", args, rest):
+    def fn(self, m: "Machine", args, rest, candidates=None, start=0):
         """Run a call: ask Database.lookup for its Candidates and run their
-        entry. An entry loops over the calls of this record that it makes
-        itself while lookup selects its own list for them; a call for which
-        lookup selects another list, or that an over-budget list hands on to
-        the next link of its chain, runs here in place, with no second
-        lookup, so app/3 over a list is one call of fn.
+        entry, or, for a ClauseCP's retry, run the list given from start.
+        An entry loops over the calls of this record that it makes itself
+        while lookup selects its own list for them; a call for which lookup
+        selects another list, or that an over-budget list hands on to the
+        next link of its chain, comes back as (candidates, args, rest) and
+        runs here in place, so app/3 over a list is one call of fn.
 
         lookup stays the one place a call selects its clauses, asked once
         per call, looped calls included: the benchmark's tracer counts
@@ -582,9 +585,14 @@ class ClausePred(Pred):
         continuation, and that goes back to _run: _run still holds the
         chain it called with, so running on into it here would keep every
         goal done meanwhile alive."""
-        # read through the class: a tracer may wrap it; the barrier holds
-        # for every entry the call runs through: a choice point ends it
-        return _enter(m, m.db.lookup(self, args), args, rest, len(m.cps))
+        if candidates is None:
+            candidates = m.db.lookup(self, args)  # read through the class: a tracer may wrap it
+        while True:
+            res = (candidates.run or candidates.compile(m.db))(m, args, rest, start)
+            if type(res) is not tuple:
+                return res
+            candidates, args, rest = res
+            start = 0
 
 
 class UnknownPred(Pred):
@@ -608,7 +616,7 @@ class Candidates(list):
     returns has more None.
 
     The entry is generated on the list's first selection: run(m, args,
-    rest, barrier, start=0), None until then. In the manner of the WAM's
+    rest, start=0), None until then. In the manner of the WAM's
     try_me_else/retry_me_else/trust_me sequence it holds its clauses' code
     inline, in order, and backtracks shallowly up to each clause's neck:
     under a new trail stamp it tries each candidate but the last, its head
@@ -624,21 +632,20 @@ class Candidates(list):
     candidate's body starts with a call of pred: then the entry asks
     lookup for that call, with the rest of the body as its continuation
     and no goal cell made for it, and goes round again from the first
-    candidate while lookup returns this list; for another list it leaves
-    the continuation in m.goals and returns (candidates, args), which runs
-    as ClausePred.fn runs it. A keyed list, which lookup selects only for a
-    first argument of its key, leaves that argument's functor, atom or
-    integer test out of its heads.
+    candidate while lookup returns this list; for another list it returns
+    (candidates, args, rest), which ClausePred.fn runs in place. A keyed
+    list, which lookup selects only for a first argument of its key, leaves
+    that argument's functor, atom or integer test out of its heads.
 
     Where the inlined clauses would take the source past _ENTRY_LINES, the
     entry holds the first n that fit, at least one, and hands the call on
     to more, a chain of lists of n candidates each made when the entry is
-    generated, in the same way: the continuation in m.goals, and (more,
-    args) returned. Each link's entry is generated on its first run, and
-    links of the same shape have the same source, so a table of facts
-    compiles two: a full link's, and the last one's. The source names every
-    term, record and list as a value make binds, so it goes through the
-    code cache under the name <name/arity entry>."""
+    generated, in the same way: it returns (more, args, rest). Each link's
+    entry is generated on its first run, and links of the same shape have
+    the same source, so a table of facts compiles two: a full link's, and
+    the last one's. The source names every term, record and list as a
+    value make binds, so it goes through the code cache under the name
+    <name/arity entry>."""
 
     __slots__ = ("pred", "keyed", "more", "run")
 
@@ -652,7 +659,7 @@ class Candidates(list):
         """The source of this list's entry, and the values to call its
         make with, each call of a key bound to db's record of it. A list
         over the budget gets a new chain each time."""
-        params = "m, args, rest, barrier, start=0"
+        params = "m, args, rest, start=0"
         if not self:
             src = _Source(params)
             src.emit(2, "return False")
@@ -699,7 +706,7 @@ class Candidates(list):
             code = _ClauseCode(src, cl, db, top + 1, "break", self.keyed)
             neck = code.guards(cl.body)
             chain = code.body(cl.body[neck:])
-            code.emit(0, f"m.cps.append(ClauseCP(args, rest, {src.const(self)}, {i + 1}, mark, barrier, stamp))")
+            code.emit(0, f"m.cps.append(ClauseCP(args, rest, {src.const(self)}, {i + 1}, mark, stamp))")
             code.emit(0, f"m.goals = {chain}")
             code.emit(0, "return None")
             src.emit(top, "trail.undo_to(mark)")
@@ -707,8 +714,7 @@ class Candidates(list):
         if last:
             src.emit(top, "trail.boundary = outer")
         if more is not None:
-            src.emit(top, "m.goals = rest")
-            src.emit(top, f"return {src.const(more)}, args")
+            src.emit(top, f"return {src.const(more)}, args, rest")
             return
         cl = self[last]
         code = _ClauseCode(src, cl, db, top, "return False", self.keyed)
@@ -724,8 +730,7 @@ class Candidates(list):
         code.emit(0, f"args = {call}")
         code.emit(0, f"candidates = lookup({src.const(self.pred)}, args)")
         code.emit(0, f"if candidates is not {src.const(self)}:")
-        code.emit(1, "m.goals = rest")
-        code.emit(1, "return candidates, args")
+        code.emit(1, "return candidates, args, rest")
         if last:
             code.emit(0, "start = 0")
 
@@ -739,19 +744,6 @@ class Candidates(list):
         name, arity = self.pred.key
         self.run = run = _make(f"<{name.name}/{arity} entry>", text)(*values)
         return run
-
-
-def _enter(m: "Machine", candidates: Candidates, args, rest, barrier: int, start: int = 0):
-    """Run a call through candidates' entry from start, and each call an
-    entry hands back or on, with its list, in place; return what the last
-    entry returned, None or False."""
-    while True:
-        res = (candidates.run or candidates.compile(m.db))(m, args, rest, barrier, start)
-        if res is None or res is False:
-            return res
-        candidates, args = res
-        rest = m.goals
-        start = 0
 
 
 class Database:
@@ -872,28 +864,30 @@ class Database:
 
 class ClauseCP:
     """A choice point made by a Candidates' entry: the call's args and
-    rest, the list, the cursor of the next candidate to try, the trail mark
-    and stamp the entry took, and the call's barrier, which is this choice
-    point's own height. retry pops it and runs the call again through the
-    same entry from the cursor, as retry_me_else and trust_me go on in one
-    code sequence: a later candidate that passes its neck with others left
-    makes a new ClauseCP, and the last runs without one, its bindings
-    trailed against the older choice points only."""
+    rest, the list, the cursor of the next candidate to try, and the trail
+    mark and stamp the entry took. Its own height is its call's barrier,
+    as the WAM's cut register is its choice-point register at the call:
+    every entry a call runs starts with the stack at that height, and
+    pushes a ClauseCP only after the body it goes with. retry pops it and
+    runs the call again through the same entry from the cursor, as
+    retry_me_else and trust_me go on in one code sequence: a later
+    candidate that passes its neck with others left makes a new ClauseCP,
+    and the last runs without one, its bindings trailed against the older
+    choice points only."""
 
-    __slots__ = ("args", "rest", "clauses", "cursor", "trailmark", "barrier", "stamp")
+    __slots__ = ("args", "rest", "clauses", "cursor", "trailmark", "stamp")
 
-    def __init__(self, args, rest, clauses, cursor, trailmark, barrier, stamp):
+    def __init__(self, args, rest, clauses, cursor, trailmark, stamp):
         self.args = args
         self.rest = rest
         self.clauses = clauses
         self.cursor = cursor
         self.trailmark = trailmark
-        self.barrier = barrier
         self.stamp = stamp
 
     def retry(self, m: "Machine") -> bool:
-        m._cut(self.barrier)
-        return _enter(m, self.clauses, self.args, self.rest, self.barrier, self.cursor) is None
+        m._cut(len(m.cps) - 1)
+        return ClausePred.fn(self.clauses.pred, m, self.args, self.rest, self.clauses, self.cursor) is None
 
 
 class BetweenCP:
@@ -1029,8 +1023,9 @@ class Machine(Handle):
 
     def get(self):
         """Next answer: The(term) or NO; NO forever once produced. Each
-        handle in an answer is pinned until its engine's stop, so it still
-        resolves when the host writes it and reads it back."""
+        handle in an answer made after this engine was spawned is pinned
+        until its stop, so it still resolves when the host writes it and
+        reads it back."""
         session = self.session
         ans = session.get_by_id(self.id)
         if ans is not NO and session.last_id > self.id:  # it may hold a newer handle

@@ -53,9 +53,9 @@ def test_session_construction_compiles_no_clause():
     (cp,) = e.cps
     entry, starts = cp.clauses.run, []
 
-    def counted(m, args, rest, barrier, start=0):
+    def counted(m, args, rest, start=0):
         starts.append(start)
-        return entry(m, args, rest, barrier, start)
+        return entry(m, args, rest, start)
 
     cp.clauses.run = counted
     assert write_term(e.get().value) == "b"
@@ -141,7 +141,7 @@ def _arity_checks(tree) -> set[int]:
 # names of the generated code besides its numbered temporaries and bound
 # values: its functions and parameters, its locals, the goal chain, and globals
 IDENTIFIERS = {
-    "make", "run", "m", "args", "trail", "rest", "barrier", "start", "g", "Var", "Struct", "new", "bind", "unify",
+    "make", "run", "m", "args", "trail", "rest", "start", "g", "Var", "Struct", "new", "bind", "unify",
     "len", "type", "mark", "outer", "stamp", "next_stamp", "ClauseCP", "lookup", "candidates",
 }  # fmt: skip
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import traceback
 from collections import Counter
 
 import pytest
@@ -704,9 +705,10 @@ def entry_calls(monkeypatch):
     calls = Counter()
     fn = ClausePred.fn
 
-    def counted(self, m, args, rest):
-        calls[self.key[0].name] += 1
-        return fn(self, m, args, rest)
+    def counted(self, m, args, rest, candidates=None, start=0):
+        if candidates is None:  # not a choice point's retry
+            calls[self.key[0].name] += 1
+        return fn(self, m, args, rest, candidates, start)
 
     monkeypatch.setattr(ClausePred, "fn", counted)
     return calls
@@ -918,6 +920,22 @@ def test_bindings_a_failed_guard_made_are_undone_before_the_next_head():
     assert len(m.cps) == 0
     assert len(m.trail.entries) == 0
     assert m.resume() is EXHAUSTED
+
+
+def test_a_guard_at_the_neck_runs_two_frames_below_the_run_loop(monkeypatch):
+    # _run calls the record's fn, which runs the entry, which calls the guard
+    frames = []
+    var = machine_module.BUILTINS[(Atom("var"), 1)]
+
+    def spy(m, args, rest):
+        names = [f.name for f in traceback.extract_stack()]
+        frames.append(names[names.index("_run") + 1 :])
+        return var(m, args, rest)
+
+    monkeypatch.setitem(machine_module.BUILTINS, (Atom("var"), 1), spy)
+    s = Session(text="p(X):-var(X),q(X). p(2). q(1).", prelude=False)
+    assert answers_str(s, "X", "p(X)") == ["1", "2"]
+    assert frames == [["fn", "run", "spy"]]
 
 
 def test_a_guard_fault_in_a_candidate_with_others_left_kills_as_from_the_body():
