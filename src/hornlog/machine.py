@@ -39,6 +39,17 @@ the last candidate runs without one. A choice point takes its call up
 again by running the same entry from its cursor, as retry_me_else and
 trust_me enter one code sequence per procedure.
 
+A guard is a call of its record's fn, except that is/2 and the six
+arithmetic comparisons compile to Python integer arithmetic in the entry,
+as Aquarius compiles arithmetic to native operations, where the record's
+fn is the builtin itself and the expressions are made of integers, the
+clause's variables that hold a value and binary + - * and unary -. One
+test that each variable's value is an integer guards that code; an
+operand that is not runs the guard's call instead, so answers and faults
+are the call's. A record whose fn is another function, such as the
+benchmark tracer's wrapper of a builtin, keeps the call, so every guard
+it counts is still one call.
+
 When the last candidate has a body that starts past its neck with a call
 of the same record, the entry asks Database.lookup for that call and goes
 round again while lookup selects the same list; for another list it hands
@@ -74,6 +85,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import deque
 
 from .terms import (
@@ -391,13 +403,117 @@ class _ClauseCode:
     # -- body ----------------------------------------------------------------
 
     def guards(self, goals) -> int:
-        """Emit a call of each of goals' leading guards, through its
-        record's fn, that runs fail when it fails; return how many."""
+        """Emit each of goals' leading guards, which runs fail when it
+        fails, and return how many there are. A guard over integer
+        arithmetic is compiled inline where arithmetic() can; any other is
+        a call of its record's fn."""
         n = _neck(goals)
         for key, args in goals[:n]:
-            self.emit(0, f"if not {self.const(self.preds[key].fn)}(m, {self.arguments(args)}, rest):")
-            self.emit(1, self.fail)
+            fn = self.preds[key].fn
+            if not self.arithmetic(fn, args):
+                self.call(fn, args)
         return n
+
+    def call(self, fn, args) -> None:
+        self.emit(0, f"if not {self.const(fn)}(m, {self.arguments(args)}, rest):")
+        self.emit(1, self.fail)
+
+    def arithmetic(self, fn, args) -> bool:
+        """Emit a guard whose record's fn is is/2's or a comparison's own
+        builtin as Python integer arithmetic, if its expression templates
+        are made only of integers, slots that hold a value and the
+        operators of _INLINE_OPS; return whether it did. A record whose fn
+        is another function, such as a tracer's wrapper, keeps its call.
+
+        Each slot of the expressions is dereferenced once into a temporary,
+        and one test that every such value is an Int guards the arithmetic.
+        is/2 gives a slot that holds no value yet its Int directly, with no
+        Var, Struct, argument tuple, eval_arith or unify; a slot that holds
+        one is unified with that Int, and any other left side is compared
+        as =:= compares. When the test fails, a non-integer or unbound
+        operand, the guard's call runs instead: the same call that the
+        guard compiles to when it is not inlined, so every answer and fault
+        is as that call gives it."""
+        op = _ARITH_GUARDS.get(fn)
+        if op is None:
+            return False
+        target = args[0] if fn is _bi_is and type(args[0]) is VarSlot else None
+        leaves: dict[int, str] = {}  # slot index -> its dereferenced value's temporary
+        steps: list[str] = []
+        texts = [self.integral(t, leaves, steps) for t in (args if target is None else args[1:])]
+        if None in texts:
+            return False
+        for index, name in leaves.items():
+            self.emit(0, f"{name} = v{index}")
+            self.emit(0, f"while type({name}) is Var:")  # an unbound variable ends at None
+            self.emit(1, f"{name} = {name}.ref")
+        depth = 0
+        if leaves:
+            self.emit(0, f"if {' and '.join(f'type({name}) is Int' for name in leaves.values())}:")
+            depth = 1
+        for step in steps:
+            self.emit(depth, step)
+        if target is None:
+            self.emit(depth, f"if not ({texts[0]} {op} {texts[1]}):")
+            self.emit(depth + 1, self.fail)
+        elif target.index in self.assigned:
+            self.emit(depth, f"if not unify(v{target.index}, Int({texts[0]}), trail):")
+            self.emit(depth + 1, self.fail)
+        else:
+            self.emit(depth, f"v{target.index} = Int({texts[0]})")
+        if leaves:
+            self.emit(0, "else:")
+            self.indent += 1
+            self.call(fn, args)
+            self.indent -= 1
+        if target is not None:
+            self.assigned.add(target.index)
+        return True
+
+    def integral(self, tpl, leaves: dict[int, str], steps: list[str]) -> str | None:
+        """The Python text of integer expression template tpl, or None if
+        it holds anything but integers, slots that hold a value and the
+        operators of _INLINE_OPS. A slot's text reads the value of its
+        temporary in leaves, made on its first use. Each operator below
+        the root goes into steps as a statement that computes it into a
+        temporary of its own, so the text nests no operator in another,
+        whatever the depth of tpl; the walk uses an explicit stack too."""
+        texts: list[str] = []
+        work: list = [(tpl, None)]
+        while work:
+            t, op = work.pop()
+            if op is not None:  # t is an operator's arity; its operands' texts are on top
+                operands = texts[-t:]
+                del texts[-t:]
+                text = f"-{operands[0]}" if t == 1 else f"{operands[0]} {op} {operands[1]}"
+                if work:  # the root's own entry is the last one popped
+                    self.ntemps += 1
+                    steps.append(f"a{self.ntemps} = {text}")
+                    text = f"a{self.ntemps}"
+                texts.append(text)
+            elif type(t) is Int:
+                texts.append(self.const(t.value))
+            elif type(t) is VarSlot:
+                if t.index not in self.assigned:
+                    return None
+                name = leaves.get(t.index)
+                if name is None:
+                    self.ntemps += 1
+                    name = leaves[t.index] = f"a{self.ntemps}"
+                texts.append(f"{name}.value")
+            elif type(t) is tuple or type(t) is Struct:
+                functor, targs = t if type(t) is tuple else (t.functor, t.args)
+                if len(targs) == 2:
+                    op = _INLINE_OPS.get(functor)
+                elif len(targs) == 1 and functor is _MINUS:
+                    op = "-"
+                if op is None:
+                    return None
+                work.append((len(targs), op))
+                work.extend((a, None) for a in reversed(targs))
+            else:
+                return None
+        return texts[0]
 
     def body(self, goals) -> str:
         """Push goals onto rest from the last to the first, each with its
@@ -1121,6 +1237,8 @@ class Machine(Handle):
 # arithmetic
 
 _SQRT = Atom("sqrt")
+_MINUS = Atom("-")
+_INTEGER = Atom("integer")
 
 
 def eval_arith(t) -> int:
@@ -1156,7 +1274,7 @@ def _eval_stack(t) -> int:
             if len(t.args) == 2:
                 b = values.pop()
                 values.append(_binary(t, values.pop(), b))
-            elif t.name == "-":
+            elif t.functor is _MINUS:
                 values.append(-values.pop())
             else:  # integer(sqrt(N))
                 n = values.pop()
@@ -1172,18 +1290,18 @@ def _eval_stack(t) -> int:
         if tt is Var:
             raise MachineError("instantiation_error", t)
         if tt is Struct:
-            name = t.name
+            functor = t.functor
             args = t.args
             if len(args) == 2:
                 work.append((t, True))
                 work.append((args[1], False))
                 work.append((args[0], False))
                 continue
-            if len(args) == 1 and name == "-":
+            if len(args) == 1 and functor is _MINUS:
                 work.append((t, True))
                 work.append((args[0], False))
                 continue
-            if len(args) == 1 and name == "integer":
+            if len(args) == 1 and functor is _INTEGER:
                 inner = deref(args[0])
                 if type(inner) is Struct and inner.functor is _SQRT and len(inner.args) == 1:
                     work.append((t, True))
@@ -1195,24 +1313,34 @@ def _eval_stack(t) -> int:
     return values[0]
 
 
+def _divide(a: int, b: int) -> int:
+    """a / b, truncated toward zero."""
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
+# the operation of each binary operator; / and mod raise ZeroDivisionError
+# on a zero divisor
+_BINARY = {
+    Atom("+"): operator.add,
+    _MINUS: operator.sub,
+    Atom("*"): operator.mul,
+    Atom("/"): _divide,
+    Atom("mod"): operator.mod,
+}
+# the binary operators a guard compiled inline evaluates, as Python writes
+# them: the ones that cannot fault on integers
+_INLINE_OPS = {Atom("+"): "+", _MINUS: "-", Atom("*"): "*"}
+
+
 def _binary(t, a: int, b: int) -> int:
-    name = t.name
-    if name == "+":
-        return a + b
-    if name == "-":
-        return a - b
-    if name == "*":
-        return a * b
-    if name == "/":
-        if b == 0:
-            raise MachineError("arith_error", t)
-        q = abs(a) // abs(b)
-        return q if (a < 0) == (b < 0) else -q
-    if name == "mod":
-        if b == 0:
-            raise MachineError("arith_error", t)
-        return a % b
-    raise MachineError("type_error", t)
+    op = _BINARY.get(t.functor)
+    if op is None:
+        raise MachineError("type_error", t)
+    try:
+        return op(a, b)
+    except ZeroDivisionError:
+        raise MachineError("arith_error", t) from None
 
 
 def _int_arg(t) -> int:
@@ -1284,19 +1412,26 @@ def _bi_is(m, args, rest):
     return unify(args[0], Int(eval_arith(args[1])), m.trail)
 
 
-def _arith_cmp(name, op):
+# the Python operator of each builtin a guard may compile inline over
+# integers, keyed by the builtin's own function: is/2 compares with a left
+# side that is not a slot, as =:= does
+_ARITH_GUARDS = {_bi_is: "=="}
+
+
+def _arith_cmp(name, op, symbol):
     def fn(m, args, rest):
         return op(eval_arith(args[0]), eval_arith(args[1]))
 
     BUILTINS[(Atom(name), 2)] = fn
+    _ARITH_GUARDS[fn] = symbol
 
 
-_arith_cmp("=:=", lambda a, b: a == b)
-_arith_cmp("=\\=", lambda a, b: a != b)
-_arith_cmp("<", lambda a, b: a < b)
-_arith_cmp(">", lambda a, b: a > b)
-_arith_cmp("=<", lambda a, b: a <= b)
-_arith_cmp(">=", lambda a, b: a >= b)
+_arith_cmp("=:=", operator.eq, "==")
+_arith_cmp("=\\=", operator.ne, "!=")
+_arith_cmp("<", operator.lt, "<")
+_arith_cmp(">", operator.gt, ">")
+_arith_cmp("=<", operator.le, "<=")
+_arith_cmp(">=", operator.ge, ">=")
 
 # the builtins a clause runs at its neck, inside its entry: each only
 # succeeds or fails, binding through the trail, and touches neither the

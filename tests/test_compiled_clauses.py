@@ -141,7 +141,7 @@ def _arity_checks(tree) -> set[int]:
 # names of the generated code besides its numbered temporaries and bound
 # values: its functions and parameters, its locals, the goal chain, and globals
 IDENTIFIERS = {
-    "make", "run", "m", "args", "trail", "rest", "start", "g", "Var", "Struct", "new", "bind", "unify",
+    "make", "run", "m", "args", "trail", "rest", "start", "g", "Var", "Struct", "Int", "new", "bind", "unify",
     "len", "type", "mark", "outer", "stamp", "next_stamp", "ClauseCP", "lookup", "candidates",
 }  # fmt: skip
 
@@ -420,6 +420,152 @@ def test_body_variables_are_made_left_to_right(monkeypatch):
     b = deref(g.args[0])
     assert all(type(v) is Var for v in (a, b, c))
     assert a.serial < b.serial < c.serial
+
+
+# -- integer guards compiled inline ---------------------------------------------
+
+ARITH = """
+lt(X,Y):-X<Y.
+gt(X,Y):-X>Y.
+le(X,Y):-X=<Y.
+ge(X,Y):-X>=Y.
+eq(X,Y):-X=:=Y.
+ne(X,Y):-X=\\=Y.
+inc(X,Y):-Y is X+1.
+sum(X,Y,Z):-Z is X+Y.
+poly(X,Y,Z):-Z is -(X)*(X-Y)+3*Y.
+zero(X):-0 is X*X-X.
+"""
+# each guard's clause, a goal of it on integers, and what it answers
+INTEGER_GOALS = [
+    ("lt(1,2)", "x", ["x"]),
+    ("lt(2,2)", "x", []),
+    ("gt(-1,-2)", "x", ["x"]),
+    ("gt(2,2)", "x", []),
+    ("le(2,2)", "x", ["x"]),
+    ("le(3,2)", "x", []),
+    ("ge(2,2)", "x", ["x"]),
+    ("ge(1,2)", "x", []),
+    ("eq(4,4)", "x", ["x"]),
+    ("eq(4,-4)", "x", []),
+    ("ne(4,-4)", "x", ["x"]),
+    ("ne(4,4)", "x", []),
+    ("inc(-1,Y)", "Y", ["0"]),
+    ("inc(1,3)", "x", []),
+    ("sum(2,3,Z)", "Z", ["5"]),
+    ("sum(2,3,5)", "x", ["x"]),
+    ("sum(2,3,6)", "x", []),
+    ("poly(3,5,Z)", "Z", ["21"]),
+    ("poly(-2,1,Z)", "Z", ["-3"]),
+    ("zero(1)", "x", ["x"]),
+    ("zero(2)", "x", []),
+]
+# a goal of each guard's clause with one operand left to fill, and the
+# guard as that goal runs it
+GUARD_GOALS = [
+    ("lt({},2)", "{} < 2"),
+    ("gt(2,{})", "2 > {}"),
+    ("le({},2)", "{} =< 2"),
+    ("ge({},2)", "{} >= 2"),
+    ("eq(3,{})", "3 =:= {}"),
+    ("ne({},3)", "{} =\\= 3"),
+    ("inc({},Y)", "Y is {}+1"),
+    ("sum(1,{},Z)", "Z is 1+{}"),
+    ("sum({},1,4)", "4 is {}+1"),
+    ("poly({},1,Z)", "Z is -({})*({}-1)+3*1"),
+    ("zero({})", "0 is {}*{}-{}"),
+]
+# operands that are no integer, or an expression /, mod or sqrt take apart
+OPERANDS = ["1+2", "_", "a", "f(1)", "[1]", "7/2", "-7 mod 2", "1/0", "integer(sqrt(10))"]
+
+
+@pytest.fixture(scope="module")
+def arith() -> Session:
+    return Session(text=ARITH, prelude=False)
+
+
+def test_an_integer_guard_calls_neither_eval_arith_nor_its_builtin(arith, monkeypatch):
+    evaluated = []
+    eval_arith = machine.eval_arith
+
+    def counted(t):
+        evaluated.append(t)
+        return eval_arith(t)
+
+    monkeypatch.setattr(machine, "eval_arith", counted)
+    for goal, pattern, want in INTEGER_GOALS:
+        assert answers_str(arith, pattern, goal) == want, goal
+    assert evaluated == []
+    # the same guards, called directly, evaluate through it
+    assert answers_str(arith, "Z", "Z is -(3)*(3-5)+3*5") == ["21"]
+    assert evaluated
+
+
+def outcome(s: Session, pattern: str, goal: str):
+    """The answers of goal and the kinds of the faults reported."""
+    lines: list[str] = []
+    s.on_error = lines.append
+    try:
+        return answers_str(s, pattern, goal), [line.split(": ")[1] for line in lines]
+    finally:
+        s.on_error = None
+
+
+@pytest.mark.parametrize("operand", OPERANDS)
+def test_a_guard_on_other_operands_answers_and_faults_as_its_call(arith, operand):
+    operand = f"({operand})"
+    for goal, guard in GUARD_GOALS:
+        pattern = "Y" if "Y" in goal else "Z" if "Z" in goal else "x"
+        got = outcome(arith, pattern, goal.format(operand))
+        assert got == outcome(arith, pattern, f"call(({guard.format(*[operand] * 3)}))"), (goal, operand)
+
+
+def test_an_integer_guard_at_every_position_of_an_expression(arith):
+    # each leaf in turn is not an integer: the one test covers all of them
+    assert outcome(arith, "Z", "poly(a,1,Z)") == ([], ["type_error"])
+    assert outcome(arith, "Z", "poly(1,a,Z)") == ([], ["type_error"])
+    assert outcome(arith, "Z", "poly(1,_,Z)") == ([], ["instantiation_error"])
+    assert outcome(arith, "Z", "poly(1,1,Z)") == (["3"], [])
+
+
+@pytest.mark.parametrize("name, arity", [("is", 2), ("<", 2), (">", 2), ("=<", 2), (">=", 2), ("=:=", 2), ("=\\=", 2)])
+def test_a_builtin_replaced_before_the_session_is_called_once_per_guard(name, arity, monkeypatch):
+    key = (Atom(name), arity)
+    builtin, calls = machine.BUILTINS[key], []
+
+    def counted(m, args, rest):
+        calls.append(args)
+        return builtin(m, args, rest)
+
+    monkeypatch.setitem(machine.BUILTINS, key, counted)
+    s = Session(text=ARITH, prelude=False)
+    for goal, pattern, want in INTEGER_GOALS:
+        assert answers_str(s, pattern, goal) == want, goal
+    # one call for each goal above whose clause's guard is the builtin
+    guard = {"<": "lt", ">": "gt", "=<": "le", ">=": "ge", "=:=": "eq", "=\\=": "ne"}
+    clauses = guard[name] if name in guard else ("inc", "sum", "poly", "zero")
+    assert len(calls) == sum(goal.startswith(clauses) for goal, _, _ in INTEGER_GOALS)
+
+
+def test_the_arithmetic_of_the_prelude_generators_is_inline():
+    # the is/2 and >/2 of these entries run as Python arithmetic: their
+    # records' fn is called only where the guard's operands are no integers
+    s = Session()
+    fns = {s.db.pred((Atom(name), 2)).fn for name in ("is", ">")}
+    keys = [("split_to_sum", 3), ("sum_choice", 4), ("positive_ints", 2), ("length_of", 2), ("+", 3)]
+    for key in keys:
+        p = s.db.pred((Atom(key[0]), key[1]))
+        for q, c in candidate_lists(s):
+            if q is not p:
+                continue
+            text, values = c.source(s.db)
+            names = {f"k{i}" for i, v in enumerate(values) if any(v is fn for fn in fns)}
+            tree = ast.parse(text)
+            for node in ast.walk(tree):  # drop each fallback to the call
+                if isinstance(node, ast.If) and "Int" in {n.id for n in ast.walk(node.test) if isinstance(n, ast.Name)}:
+                    node.orelse = []
+            called = {n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            assert names and not names & called, (key, text)
 
 
 # -- first-call compilation under threads -----------------------------------------

@@ -16,12 +16,20 @@ reference is plain: findall/3 lists every answer, each renamed fresh;
 if/3 commits to the first answer of its condition; not/1 succeeds when
 its goal has none. Each goal runs in an engine of its own, so a fault
 there ends that engine's answers with one diagnostic, as get never raises.
+
+A third set draws its terms mostly from variables and integers, so that
+the arithmetic guards at a clause's neck, which an entry compiles into
+Python integer arithmetic, mostly run that code on integer operands;
+the other sets mostly run the call those guards fall back to.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,7 +63,15 @@ class Skip(Exception):
     walk meets too many nodes of a term that shares its subterms."""
 
 
-GUARDS = {"=", "==", "\\==", "var", "nonvar", "is", "<", "=:="}
+COMPARE = {
+    "<": operator.lt,
+    ">": operator.gt,
+    "=<": operator.le,
+    ">=": operator.ge,
+    "=:=": operator.eq,
+    "=\\=": operator.ne,
+}
+GUARDS = {"=", "==", "\\==", "var", "nonvar", "is", *COMPARE}
 CONSTRUCTS = ("findall", "if", "not")
 MAX_DEPTH = 200
 MAX_STEPS = 4000
@@ -140,10 +156,21 @@ def evaluate(t, s) -> int:
         return t
     if type(t) is RVar:
         raise Fault("instantiation_error")
+    if type(t) is tuple and len(t) == 2 and t[0] == "-":
+        return -evaluate(t[1], s)
     if type(t) is tuple and len(t) == 3:  # its operands first, then its operator
         a, b = evaluate(t[1], s), evaluate(t[2], s)
-        if t[0] in ("+", "-"):
-            return a + b if t[0] == "+" else a - b
+        if t[0] == "+":
+            return a + b
+        if t[0] == "-":
+            return a - b
+        if t[0] == "*":
+            return a * b
+        if t[0] in ("/", "mod"):
+            if b == 0:
+                raise Fault("arith_error")
+            # / truncates toward zero; mod takes the sign of the divisor
+            return int(Fraction(a, b)) if t[0] == "/" else a - b * math.floor(Fraction(a, b))
     raise Fault("type_error")
 
 
@@ -243,7 +270,7 @@ class Reference:
         if name == "is":
             return unify(args[0], evaluate(args[1], s), s)
         a, b = evaluate(args[0], s), evaluate(args[1], s)
-        return s if (a < b if name == "<" else a == b) else None
+        return s if COMPARE[name](a, b) else None
 
     def answers(self, goal):
         """Up to LIMIT resolved instances of goal, and the kind of each
@@ -264,32 +291,53 @@ class Reference:
 
 class Gen:
     """Random programs; with constructs, bodies also call findall/3, if/3
-    and not/1 on calls of lower predicates."""
+    and not/1 on calls of lower predicates. With integers, terms are
+    mostly variables and integers, a clause has at most two variables, and
+    its guards are mostly arithmetic: heads and queries mostly bind
+    variables to integers, so an arithmetic guard at a neck mostly runs
+    inline, with integer operands."""
 
-    def __init__(self, rng: random.Random, constructs: bool = False):
+    def __init__(self, rng: random.Random, constructs: bool = False, integers: bool = False):
         self.rng = rng
         self.constructs = constructs
         self.serial = itertools.count()
+        if integers:
+            self.constants, self.leaves, self.variables = [-2, -1, 0, 1, 2], 0.9, 2
+            self.guards = ["=", "var", "is", "is", "compare", "compare", "compare"]
+        else:
+            self.constants, self.leaves, self.variables = ["a", "b", "[]", 0, 1], 0.6, 4
+            self.guards = ["=", "=", "==", "\\==", "var", "nonvar", "is", "is", "compare", "compare"]
 
     def term(self, pool, depth=2):
         rng = self.rng
         roll = rng.random()
-        if depth == 0 or roll < 0.6:
-            return rng.choice(pool) if roll < 0.35 else rng.choice(["a", "b", "[]", 0, 1])
-        if roll < 0.8:
+        if depth == 0 or roll < self.leaves:
+            return rng.choice(pool) if roll < 0.35 else rng.choice(self.constants)
+        if roll < self.leaves + (1 - self.leaves) / 2:
             return (".", self.term(pool, depth - 1), self.term(pool, depth - 1))
         return ("f", self.term(pool, depth - 1))
 
-    def expr(self, pool):
+    def expr(self, pool, depth=3):
+        """An arithmetic expression nested at most depth deep over the
+        pool's variables, integers from -3 to 3 and rarely an atom or a
+        compound: + - * / mod and unary -. A product's right operand is an
+        integer, so that no value doubles its digits at each step of a
+        recursion."""
         rng = self.rng
         roll = rng.random()
-        if roll < 0.2:
-            return rng.choice(pool)
-        if roll < 0.6:
-            return rng.randint(0, 3)
-        if roll < 0.64:
-            return "a"
-        return (rng.choice("+-"), rng.choice([*pool, 1, 2]), rng.randint(0, 2))
+        if depth == 0 or roll < 0.45:
+            roll = rng.random()
+            if roll < 0.35:
+                return rng.choice(pool)
+            if roll < 0.92:
+                return rng.randint(-3, 3)
+            return rng.choice(["a", ("f", 1)])
+        op = rng.choice(["+", "+", "-", "-", "*", "*", "neg", "neg", "/", "mod"])
+        if op == "neg":
+            return ("-", self.expr(pool, depth - 1))
+        if op == "*":
+            return (op, self.expr(pool, depth - 1), rng.randint(-2, 2))
+        return (op, self.expr(pool, depth - 1), self.expr(pool, depth - 1))
 
     def call(self, pool, lower):
         rng = self.rng
@@ -323,13 +371,13 @@ class Gen:
             if name == "if":
                 return (name, goal, *(self.call(pool + own, lower) for _ in range(2)))
             return (name, goal)
-        op = rng.choice(["=", "=", "==", "\\==", "var", "nonvar", "is", "<", "=:="])
+        op = rng.choice(self.guards)
         if op in ("var", "nonvar"):
             return (op, rng.choice(pool))
-        if op == "is":
-            return (op, rng.choice(pool), self.expr(pool))
-        if op in ("<", "=:="):
-            return (op, self.expr(pool), self.expr(pool))
+        if op == "is":  # mostly a variable, which the head may bind, on the left
+            return (op, rng.choice(pool) if rng.random() < 0.8 else rng.randint(-3, 3), self.expr(pool))
+        if op == "compare":
+            return (rng.choice(sorted(COMPARE)), self.expr(pool), self.expr(pool))
         v = rng.choice(pool)
         # the other side holds no v, so that = builds no cyclic term
         return (op, v, self.term([w for w in pool if w is not v] or ["a"], 1))
@@ -337,7 +385,7 @@ class Gen:
     def clause(self, key, lower):
         rng = self.rng
         name, arity = key
-        pool = [RVar(f"V{i}") for i in range(rng.randint(1, 4))]
+        pool = [RVar(f"V{i}") for i in range(rng.randint(1, self.variables))]
         args = [self.term(pool) for _ in range(arity)]
         body = [self.goal(pool, lower) for _ in range(rng.randint(0, 3))]
         if self.constructs and not lower and rng.random() < 0.5:
@@ -448,11 +496,11 @@ def hornlog_answers(session, goal):
     return got, [line.split(": ")[1] for line in lines]
 
 
-def judged_queries(seed, constructs=False):
+def judged_queries(seed, constructs=False, integers=False):
     """A seeded program, and each of its queries the reference judges with
     what it answers."""
     rng = random.Random(seed)
-    gen = Gen(rng, constructs)
+    gen = Gen(rng, constructs, integers)
     keys, program = gen.program()
     judged, skipped = [], 0
     for i in range(4):
@@ -469,14 +517,14 @@ def judged_queries(seed, constructs=False):
     return program, judged, skipped
 
 
-def check_block(block, monkeypatch, constructs=False):
+def check_block(block, monkeypatch, constructs=False, integers=False):
     """Check the seeds of block against the reference, with the prelude
     loaded where the programs call its constructs."""
     checked = skipped = 0
     budgets = (machine._ENTRY_LINES, 40)
     calls = bounded_steps(monkeypatch)
     for seed in range(block, 320, 8):
-        program, judged, n = judged_queries(seed, constructs)
+        program, judged, n = judged_queries(seed, constructs, integers)
         skipped += n
         checked += len(judged)
         for budget in budgets:
@@ -497,3 +545,8 @@ def test_hornlog_answers_as_the_reference_solver_does(block, monkeypatch):
 @pytest.mark.parametrize("block", range(8))
 def test_findall_if_and_not_answer_as_the_reference_solver_does(block, monkeypatch):
     check_block(block, monkeypatch, constructs=True)
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_integer_guards_answer_as_the_reference_solver_does(block, monkeypatch):
+    check_block(block, monkeypatch, integers=True)
