@@ -39,16 +39,17 @@ the last candidate runs without one. A choice point takes its call up
 again by running the same entry from its cursor, as retry_me_else and
 trust_me enter one code sequence per procedure.
 
-A guard is a call of its record's fn, except that is/2 and the six
-arithmetic comparisons compile to Python integer arithmetic in the entry,
-as Aquarius compiles arithmetic to native operations, where the record's
-fn is the builtin itself and the expressions are made of integers, the
-clause's variables that hold a value and binary + - * and unary -. One
-test that each variable's value is an integer guards that code; an
-operand that is not runs the guard's call instead, so answers and faults
-are the call's. A record whose fn is another function, such as the
-benchmark tracer's wrapper of a builtin, keeps the call, so every guard
-it counts is still one call.
+A guard is a call of its record's fn, except that the six arithmetic
+comparisons, and is/2 with a variable or an integer on its left, compile
+to Python integer arithmetic in the entry, as Aquarius compiles
+arithmetic to native operations, where the record's fn is the builtin
+itself and the expressions are made of integers, the clause's variables
+that hold a value and binary + - * and unary -. One test that each
+variable's value is an integer guards that code; an operand that is not
+runs the guard's call instead, so answers and faults are the call's. A
+record whose fn is another function, such as the benchmark tracer's
+wrapper of a builtin, keeps the call, so every guard it counts is still
+one call.
 
 When the last candidate has a body that starts past its neck with a call
 of the same record, the entry asks Database.lookup for that call and goes
@@ -429,15 +430,22 @@ class _ClauseCode:
         and one test that every such value is an Int guards the arithmetic.
         is/2 gives a slot that holds no value yet its Int directly, with no
         Var, Struct, argument tuple, eval_arith or unify; a slot that holds
-        one is unified with that Int, and any other left side is compared
-        as =:= compares. When the test fails, a non-integer or unbound
-        operand, the guard's call runs instead: the same call that the
-        guard compiles to when it is not inlined, so every answer and fault
-        is as that call gives it."""
+        one is unified with that Int, and an integer left side is compared
+        with it, as unify compares two integers. An is/2 with any other
+        left side keeps its call, as unify fails on a compound and an
+        integer. When the test fails, a non-integer or unbound operand, the
+        guard's call runs instead: the same call that the guard compiles to
+        when it is not inlined, so every answer and fault is as that call
+        gives it."""
         op = _ARITH_GUARDS.get(fn)
         if op is None:
             return False
-        target = args[0] if fn is _bi_is and type(args[0]) is VarSlot else None
+        target = None
+        if fn is _bi_is:
+            if type(args[0]) is VarSlot:
+                target = args[0]
+            elif type(args[0]) is not Int:
+                return False
         leaves: dict[int, str] = {}  # slot index -> its dereferenced value's temporary
         steps: list[str] = []
         texts = [self.integral(t, leaves, steps) for t in (args if target is None else args[1:])]
@@ -1413,12 +1421,23 @@ def _bi_is(m, args, rest):
 
 
 # the Python operator of each builtin a guard may compile inline over
-# integers, keyed by the builtin's own function: is/2 compares with a left
-# side that is not a slot, as =:= does
+# integers, keyed by the builtin's own function: is/2 compares an integer
+# left side with its value, as =:= does
 _ARITH_GUARDS = {_bi_is: "=="}
+# the operation of each Python comparison operator
+_COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+}
 
 
-def _arith_cmp(name, op, symbol):
+def _arith_cmp(name, symbol):
+    op = _COMPARE[symbol]
+
     def fn(m, args, rest):
         return op(eval_arith(args[0]), eval_arith(args[1]))
 
@@ -1426,12 +1445,12 @@ def _arith_cmp(name, op, symbol):
     _ARITH_GUARDS[fn] = symbol
 
 
-_arith_cmp("=:=", operator.eq, "==")
-_arith_cmp("=\\=", operator.ne, "!=")
-_arith_cmp("<", operator.lt, "<")
-_arith_cmp(">", operator.gt, ">")
-_arith_cmp("=<", operator.le, "<=")
-_arith_cmp(">=", operator.ge, ">=")
+_arith_cmp("=:=", "==")
+_arith_cmp("=\\=", "!=")
+_arith_cmp("<", "<")
+_arith_cmp(">", ">")
+_arith_cmp("=<", "<=")
+_arith_cmp(">=", ">=")
 
 # the builtins a clause runs at its neck, inside its entry: each only
 # succeeds or fails, binding through the trail, and touches neither the

@@ -435,6 +435,9 @@ inc(X,Y):-Y is X+1.
 sum(X,Y,Z):-Z is X+Y.
 poly(X,Y,Z):-Z is -(X)*(X-Y)+3*Y.
 zero(X):-0 is X*X-X.
+lhs(X):-X+1 is 3.
+neg(X):- -(X) is -2.
+three:-1+2 is 3.
 """
 # each guard's clause, a goal of it on integers, and what it answers
 INTEGER_GOALS = [
@@ -474,6 +477,7 @@ GUARD_GOALS = [
     ("sum({},1,4)", "4 is {}+1"),
     ("poly({},1,Z)", "Z is -({})*({}-1)+3*1"),
     ("zero({})", "0 is {}*{}-{}"),
+    ("lhs({})", "{}+1 is 3"),
 ]
 # operands that are no integer, or an expression /, mod or sqrt take apart
 OPERANDS = ["1+2", "_", "a", "f(1)", "[1]", "7/2", "-7 mod 2", "1/0", "integer(sqrt(10))"]
@@ -526,6 +530,12 @@ def test_an_integer_guard_at_every_position_of_an_expression(arith):
     assert outcome(arith, "Z", "poly(1,a,Z)") == ([], ["type_error"])
     assert outcome(arith, "Z", "poly(1,_,Z)") == ([], ["instantiation_error"])
     assert outcome(arith, "Z", "poly(1,1,Z)") == (["3"], [])
+
+
+def test_is_with_a_compound_left_side_answers_as_its_call(arith):
+    # unify fails on a compound and an integer, whatever the compound's value
+    for goal, guard in [("lhs(2)", "2+1 is 3"), ("neg(2)", "-(2) is -2"), ("three", "1+2 is 3")]:
+        assert outcome(arith, "x", goal) == outcome(arith, "x", f"call(({guard}))") == ([], []), goal
 
 
 @pytest.mark.parametrize("name, arity", [("is", 2), ("<", 2), (">", 2), ("=<", 2), (">=", 2), ("=:=", 2), ("=\\=", 2)])

@@ -291,53 +291,40 @@ class Reference:
 
 class Gen:
     """Random programs; with constructs, bodies also call findall/3, if/3
-    and not/1 on calls of lower predicates. With integers, terms are
-    mostly variables and integers, a clause has at most two variables, and
-    its guards are mostly arithmetic: heads and queries mostly bind
-    variables to integers, so an arithmetic guard at a neck mostly runs
-    inline, with integer operands."""
+    and not/1 on calls of lower predicates."""
 
-    def __init__(self, rng: random.Random, constructs: bool = False, integers: bool = False):
+    CONSTANTS = ["a", "b", "[]", 0, 1]  # a term's constants
+    LEAVES = 0.6  # the share of a term's nodes, below its depth, that are leaves
+    VARIABLES = 4  # the most variables of a clause
+    GUARD_MENU = ["=", "=", "==", "\\==", "var", "nonvar", "is", "<", "=:="]  # what a guard draws from
+
+    def __init__(self, rng: random.Random, constructs: bool = False):
         self.rng = rng
         self.constructs = constructs
         self.serial = itertools.count()
-        if integers:
-            self.constants, self.leaves, self.variables = [-2, -1, 0, 1, 2], 0.9, 2
-            self.guards = ["=", "var", "is", "is", "compare", "compare", "compare"]
-        else:
-            self.constants, self.leaves, self.variables = ["a", "b", "[]", 0, 1], 0.6, 4
-            self.guards = ["=", "=", "==", "\\==", "var", "nonvar", "is", "is", "compare", "compare"]
 
     def term(self, pool, depth=2):
         rng = self.rng
         roll = rng.random()
-        if depth == 0 or roll < self.leaves:
-            return rng.choice(pool) if roll < 0.35 else rng.choice(self.constants)
-        if roll < self.leaves + (1 - self.leaves) / 2:
+        if depth == 0 or roll < self.LEAVES:
+            return rng.choice(pool) if roll < 0.35 else rng.choice(self.CONSTANTS)
+        if roll < self.LEAVES + (1 - self.LEAVES) / 2:
             return (".", self.term(pool, depth - 1), self.term(pool, depth - 1))
         return ("f", self.term(pool, depth - 1))
 
-    def expr(self, pool, depth=3):
-        """An arithmetic expression nested at most depth deep over the
-        pool's variables, integers from -3 to 3 and rarely an atom or a
-        compound: + - * / mod and unary -. A product's right operand is an
-        integer, so that no value doubles its digits at each step of a
-        recursion."""
+    def expr(self, pool):
         rng = self.rng
         roll = rng.random()
-        if depth == 0 or roll < 0.45:
-            roll = rng.random()
-            if roll < 0.35:
-                return rng.choice(pool)
-            if roll < 0.92:
-                return rng.randint(-3, 3)
-            return rng.choice(["a", ("f", 1)])
-        op = rng.choice(["+", "+", "-", "-", "*", "*", "neg", "neg", "/", "mod"])
-        if op == "neg":
-            return ("-", self.expr(pool, depth - 1))
-        if op == "*":
-            return (op, self.expr(pool, depth - 1), rng.randint(-2, 2))
-        return (op, self.expr(pool, depth - 1), self.expr(pool, depth - 1))
+        if roll < 0.2:
+            return rng.choice(pool)
+        if roll < 0.6:
+            return rng.randint(0, 3)
+        if roll < 0.64:
+            return "a"
+        return (rng.choice("+-"), rng.choice([*pool, 1, 2]), rng.randint(0, 2))
+
+    def is_goal(self, pool):
+        return ("is", self.rng.choice(pool), self.expr(pool))
 
     def call(self, pool, lower):
         rng = self.rng
@@ -371,13 +358,13 @@ class Gen:
             if name == "if":
                 return (name, goal, *(self.call(pool + own, lower) for _ in range(2)))
             return (name, goal)
-        op = rng.choice(self.guards)
+        op = rng.choice(self.GUARD_MENU)
         if op in ("var", "nonvar"):
             return (op, rng.choice(pool))
-        if op == "is":  # mostly a variable, which the head may bind, on the left
-            return (op, rng.choice(pool) if rng.random() < 0.8 else rng.randint(-3, 3), self.expr(pool))
-        if op == "compare":
-            return (rng.choice(sorted(COMPARE)), self.expr(pool), self.expr(pool))
+        if op == "is":
+            return self.is_goal(pool)
+        if op in COMPARE:
+            return (op, self.expr(pool), self.expr(pool))
         v = rng.choice(pool)
         # the other side holds no v, so that = builds no cyclic term
         return (op, v, self.term([w for w in pool if w is not v] or ["a"], 1))
@@ -385,7 +372,7 @@ class Gen:
     def clause(self, key, lower):
         rng = self.rng
         name, arity = key
-        pool = [RVar(f"V{i}") for i in range(rng.randint(1, self.variables))]
+        pool = [RVar(f"V{i}") for i in range(rng.randint(1, self.VARIABLES))]
         args = [self.term(pool) for _ in range(arity)]
         body = [self.goal(pool, lower) for _ in range(rng.randint(0, 3))]
         if self.constructs and not lower and rng.random() < 0.5:
@@ -408,6 +395,50 @@ class Gen:
         for i, key in enumerate(keys):
             program[key] = [self.clause(key, keys[:i]) for _ in range(rng.randint(1, 5))]
         return keys, program
+
+
+class IntegerGen(Gen):
+    """Random programs whose terms are mostly variables and integers,
+    whose clauses have at most two variables, and whose guards are mostly
+    arithmetic: heads and queries mostly bind variables to integers, so an
+    arithmetic guard at a neck mostly runs inline, with integer operands."""
+
+    CONSTANTS = [-2, -1, 0, 1, 2]
+    LEAVES = 0.9
+    VARIABLES = 2
+    GUARD_MENU = ["=", "var", "is", "is", "is", *COMPARE]
+
+    def expr(self, pool, depth=3):
+        """An arithmetic expression nested at most depth deep over the
+        pool's variables, integers from -3 to 3 and rarely an atom or a
+        compound: + - * / mod and unary -. A product's right operand is an
+        integer, so that no value doubles its digits at each step of a
+        recursion."""
+        rng = self.rng
+        roll = rng.random()
+        if depth == 0 or roll < 0.45:
+            roll = rng.random()
+            if roll < 0.35:
+                return rng.choice(pool)
+            if roll < 0.92:
+                return rng.randint(-3, 3)
+            return rng.choice(["a", ("f", 1)])
+        op = rng.choice(["+", "+", "-", "-", "*", "*", "neg", "neg", "/", "mod"])
+        if op == "neg":
+            return ("-", self.expr(pool, depth - 1))
+        if op == "*":
+            return (op, self.expr(pool, depth - 1), rng.randint(-2, 2))
+        return (op, self.expr(pool, depth - 1), self.expr(pool, depth - 1))
+
+    def is_goal(self, pool):
+        """Mostly a variable, which the head may bind, on the left; else an
+        integer, or the right side itself, which when it is a compound no
+        integer unifies with, whatever its value."""
+        rng = self.rng
+        roll, right = rng.random(), self.expr(pool)
+        if roll < 0.7:
+            return ("is", rng.choice(pool), right)
+        return ("is", rng.randint(-3, 3) if roll < 0.85 else right, right)
 
 
 def text(t) -> str:
@@ -500,7 +531,7 @@ def judged_queries(seed, constructs=False, integers=False):
     """A seeded program, and each of its queries the reference judges with
     what it answers."""
     rng = random.Random(seed)
-    gen = Gen(rng, constructs, integers)
+    gen = IntegerGen(rng) if integers else Gen(rng, constructs)
     keys, program = gen.program()
     judged, skipped = [], 0
     for i in range(4):
