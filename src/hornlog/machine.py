@@ -51,17 +51,20 @@ record whose fn is another function, such as the benchmark tracer's
 wrapper of a builtin, keeps the call, so every guard it counts is still
 one call.
 
-When the last candidate has a body that starts past its neck with a call
-of the same record, the entry asks Database.lookup for that call and goes
-round again while lookup selects the same list; for another list it hands
-the list and the call's arguments back to the record's fn, which runs that
-list's entry in the same loop. So app/3 over a list, member/2's scan for an
-element further down its list, or a countdown guarded by N>0, is one call
-of fn. Database.lookup still selects the list, once per predicate call,
-calls run in place included, because that is where the benchmark's tracer
-counts predicate calls. A list too long for one entry of _ENTRY_LINES
-lines is tried through a chain of entries, each handing the call on to the
-next in the same way.
+When a candidate's body starts past its neck with a call of a predicate
+with clauses, the entry selects the callee's list as Database.lookup
+would, as the WAM's execute jumps to switch_on_term: a constant for an
+atom, integer or compound first argument, else one dereference and one
+read of the callee's index. It hands the list, the call's arguments and
+the rest of the body back to the record's fn, which runs that list's entry
+in the same loop, after a choice point if candidates are left; the last
+candidate's call of its own record goes round the entry's own loop while
+it selects the same list. So app/3 over a list, member/2's scan, or a
+chain of calls p to q to r, is one call of fn. Where Database.lookup is
+not the method defined here, as where the benchmark's tracer wraps it to
+count predicate calls, an entry asks it instead, once per call. A list too
+long for one entry of _ENTRY_LINES lines is tried through a chain of
+entries, each handing the call on to the next in the same way.
 
 Code is generated the first time it is run, so loading a program compiles
 nothing and a predicate never called costs nothing. Its source names every
@@ -280,6 +283,7 @@ class _ClauseCode:
         self.ntemps = 0
         self.built: dict[int, str] = {}  # id of a compound template -> its Struct's name
         self.assigned: set[int] = set()  # slots that hold a value
+        self.derefs: dict[int, str] = {}  # slot index -> its dereferenced value's temporary
         self.head(cl.args, keyed)
 
     def emit(self, depth: int, line: str) -> None:
@@ -426,8 +430,9 @@ class _ClauseCode:
         operators of _INLINE_OPS; return whether it did. A record whose fn
         is another function, such as a tracer's wrapper, keeps its call.
 
-        Each slot of the expressions is dereferenced once into a temporary,
-        and one test that every such value is an Int guards the arithmetic.
+        Each slot of the expressions is dereferenced into a temporary once
+        in the clause (deref), and one test that every such value is an Int
+        guards the arithmetic.
         is/2 gives a slot that holds no value yet its Int directly, with no
         Var, Struct, argument tuple, eval_arith or unify; a slot that holds
         one is unified with that Int, and an integer left side is compared
@@ -452,9 +457,7 @@ class _ClauseCode:
         if None in texts:
             return False
         for index, name in leaves.items():
-            self.emit(0, f"{name} = v{index}")
-            self.emit(0, f"while type({name}) is Var:")  # an unbound variable ends at None
-            self.emit(1, f"{name} = {name}.ref")
+            self.deref(index, name)
         depth = 0
         if leaves:
             self.emit(0, f"if {' and '.join(f'type({name}) is Int' for name in leaves.values())}:")
@@ -478,11 +481,26 @@ class _ClauseCode:
             self.assigned.add(target.index)
         return True
 
+    def deref(self, index: int, name: str | None = None) -> str:
+        """The temporary, name if given, that holds slot index's value
+        dereferenced (None if unbound), emitted on the slot's first use:
+        a bound value never changes, and a guard that finds None faults."""
+        if index not in self.derefs:
+            if name is None:
+                self.ntemps += 1
+                name = f"a{self.ntemps}"
+            self.derefs[index] = name
+            self.emit(0, f"{name} = v{index}")
+            self.emit(0, f"while type({name}) is Var:")  # an unbound variable ends at None
+            self.emit(1, f"{name} = {name}.ref")
+        return self.derefs[index]
+
     def integral(self, tpl, leaves: dict[int, str], steps: list[str]) -> str | None:
         """The Python text of integer expression template tpl, or None if
         it holds anything but integers, slots that hold a value and the
         operators of _INLINE_OPS. A slot's text reads the value of its
-        temporary in leaves, made on its first use. Each operator below
+        temporary in leaves: its deref's if it has one, else a new name.
+        Each operator below
         the root goes into steps as a statement that computes it into a
         temporary of its own, so the text nests no operator in another,
         whatever the depth of tpl; the walk uses an explicit stack too."""
@@ -504,10 +522,11 @@ class _ClauseCode:
             elif type(t) is VarSlot:
                 if t.index not in self.assigned:
                     return None
-                name = leaves.get(t.index)
+                name = leaves.get(t.index) or self.derefs.get(t.index)
                 if name is None:
                     self.ntemps += 1
-                    name = leaves[t.index] = f"a{self.ntemps}"
+                    name = f"a{self.ntemps}"
+                leaves[t.index] = name
                 texts.append(f"{name}.value")
             elif type(t) is tuple or type(t) is Struct:
                 functor, targs = t if type(t) is tuple else (t.functor, t.args)
@@ -522,6 +541,54 @@ class _ClauseCode:
             else:
                 return None
         return texts[0]
+
+    def proceed(self, goals, push: str | None, own: Candidates | None, inline: bool) -> None:
+        """Emit the clause's goals past its neck: push, its ClauseCP if
+        any, once the body is built, so a body cut gets the height before
+        it; then the goals pushed as the machine's, or a first call of a
+        ClausePred handed on as (its list, args, rest of the body), which
+        loops while it selects own. inline: select as lookup does, else
+        ask lookup."""
+        callee = self.preds.get(goals[0][0]) if goals else None  # _CUT and _METACALL are no keys
+        if type(callee) is not ClausePred:
+            chain = self.body(goals)
+            if push:
+                self.emit(0, push)
+            self.emit(0, f"m.goals = {chain}")
+            self.emit(0, "return None")
+            return
+        args = goals[0][1]
+        if not inline:
+            select = f"m.db.lookup({self.const(callee)}, args)"
+        else:  # a slot the head and guards left unassigned is a new variable
+            fresh = not args or type(args[0]) is VarSlot and args[0].index not in self.assigned
+            select = self.select(callee, None if fresh else args[0])
+        chain = self.body(goals[1:])
+        call = self.arguments(args)
+        if push:
+            self.emit(0, push)
+        self.emit(0, f"args = {call}")
+        if own is None:
+            self.emit(0, f"return {select}, args, {chain}")
+            return
+        if chain != "rest":
+            self.emit(0, f"rest = {chain}")
+        self.emit(0, f"candidates = {select}")
+        self.emit(0, f"if candidates is not {self.const(own)}:")
+        self.emit(1, "return candidates, args, rest")
+
+    def select(self, callee: Pred, tpl) -> str:
+        """The expression of the list lookup selects for a call of callee
+        with first argument tpl (None: a new variable), constant unless tpl
+        is a slot."""
+        if callee.index is None or tpl is None:
+            return self.const(callee.clauses)
+        table, unkeyed = callee.index
+        if type(tpl) is not VarSlot:
+            return self.const(table.get(_key(tpl), unkeyed))
+        t = self.deref(tpl.index)
+        key = f"({t}.functor, len({t}.args)) if type({t}) is Struct else {t}.value if type({t}) is Int else {t}"
+        return f"{self.const(callee.clauses)} if {t} is None else {self.const(table)}.get({key}, {self.const(unkeyed)})"
 
     def body(self, goals) -> str:
         """Push goals onto rest from the last to the first, each with its
@@ -571,6 +638,17 @@ class _ClauseCode:
 
 def _ground(tpls) -> bool:
     return not any(type(t) is VarSlot or type(t) is tuple for t in tpls)
+
+
+def _key(t):
+    """The index key of a first-argument template that is not a slot, as
+    Database.lookup keys a term: the atom itself, an integer's value, or a
+    compound's functor and arity."""
+    if type(t) is tuple:  # a compound holding a slot
+        return t[0], len(t[1])
+    if type(t) is Struct:
+        return t.functor, len(t.args)
+    return t.value if type(t) is Int else t
 
 
 def _neck(goals) -> int:
@@ -669,8 +747,8 @@ class Pred:
     link() makes the record a ClausePred or an UnknownPred as the database
     freezes. Their fn is a method, so a record never refers to itself and
     is freed with its session. A ClausePred's fn asks Database.lookup for a
-    call's Candidates and runs their generated entry, and runs a call of
-    itself that an entry hands back with its Candidates, in place. clauses
+    call's Candidates and runs their generated entry, and runs in place
+    each call an entry hands on with the Candidates it selected. clauses
     is the Candidates of all the clauses, in source order (None if there
     are none). As the database freezes, index is set to the first-argument
     index of a predicate of two or more clauses whose first arguments are
@@ -696,19 +774,17 @@ class ClausePred(Pred):
     def fn(self, m: "Machine", args, rest, candidates=None, start=0):
         """Run a call: ask Database.lookup for its Candidates and run their
         entry, or, for a ClauseCP's retry, run the list given from start.
-        An entry loops over the calls of this record that it makes itself
-        while lookup selects its own list for them; a call for which lookup
-        selects another list, or that an over-budget list hands on to the
-        next link of its chain, comes back as (candidates, args, rest) and
-        runs here in place, so app/3 over a list is one call of fn.
+        A call that an entry hands on, its body's first call past the neck
+        with the list the entry selected for it, or the call an over-budget
+        list hands on to the next link of its chain, comes back as
+        (candidates, args, rest) and runs here in place, of whatever
+        record; so app/3 over a list is one call of fn, and so is a chain
+        of calls p to q to r.
 
-        lookup stays the one place a call selects its clauses, asked once
-        per call, looped calls included: the benchmark's tracer counts
-        predicate calls by wrapping it, so it stays until that count is
-        taken elsewhere. A fact's entry hands back its caller's
-        continuation, and that goes back to _run: _run still holds the
-        chain it called with, so running on into it here would keep every
-        goal done meanwhile alive."""
+        lookup is asked here only for a call that _run dispatches, such as
+        a goal a fact's entry leaves on the goal chain: that goes back to
+        _run, which still holds the chain it called with, so running on
+        into it here would keep every goal done meanwhile alive."""
         if candidates is None:
             candidates = m.db.lookup(self, args)  # read through the class: a tracer may wrap it
         while True:
@@ -752,14 +828,16 @@ class Candidates(list):
     cursor: start skips the candidates before it.
 
     A passed candidate's body past the neck is pushed onto rest as the
-    machine's goals and the entry returns None, except where the last
-    candidate's body starts with a call of pred: then the entry asks
-    lookup for that call, with the rest of the body as its continuation
-    and no goal cell made for it, and goes round again from the first
-    candidate while lookup returns this list; for another list it returns
-    (candidates, args, rest), which ClausePred.fn runs in place. A keyed
-    list, which lookup selects only for a first argument of its key, leaves
-    that argument's functor, atom or integer test out of its heads.
+    machine's goals and the entry returns None, except where it starts
+    with a call of a ClausePred: then the entry selects that call's list,
+    inline as lookup would or by asking a lookup put in its place, and
+    returns (candidates, args, rest), with the rest of the body as rest
+    and no goal cell made for the call, which ClausePred.fn runs in place;
+    a non-last candidate makes its ClauseCP first. Where the last
+    candidate's call is of pred, the entry goes round again from the first
+    candidate while the call selects this list. A keyed list, which lookup
+    selects only for a first argument of its key, leaves that argument's
+    functor, atom or integer test out of its heads.
 
     Where the inlined clauses would take the source past _ENTRY_LINES, the
     entry holds the first n that fit, at least one, and hands the call on
@@ -812,10 +890,10 @@ class Candidates(list):
         body = self[n - 1].body
         neck = _neck(body)
         loops = more is None and neck < len(body) and body[neck][0] == self.pred.key
+        inline = type(db).lookup is _LOOKUP
         src.emit(2, "trail = m.trail")
         top = 2
         if loops:
-            src.emit(2, "lookup = m.db.lookup")  # read through the class: a tracer may wrap it
             src.emit(2, "while True:")
             top = 3
         if last:
@@ -829,10 +907,8 @@ class Candidates(list):
             src.emit(top, f"while start <= {i}:")  # a failed head or guard breaks out
             code = _ClauseCode(src, cl, db, top + 1, "break", self.keyed)
             neck = code.guards(cl.body)
-            chain = code.body(cl.body[neck:])
-            code.emit(0, f"m.cps.append(ClauseCP(args, rest, {src.const(self)}, {i + 1}, mark, stamp))")
-            code.emit(0, f"m.goals = {chain}")
-            code.emit(0, "return None")
+            push = f"m.cps.append(ClauseCP(args, rest, {src.const(self)}, {i + 1}, mark, stamp))"
+            code.proceed(cl.body[neck:], push, None, inline)
             src.emit(top, "trail.undo_to(mark)")
             ends.append(len(src.lines))
         if last:
@@ -843,19 +919,8 @@ class Candidates(list):
         cl = self[last]
         code = _ClauseCode(src, cl, db, top, "return False", self.keyed)
         neck = code.guards(cl.body)
-        if not loops:
-            code.emit(0, f"m.goals = {code.body(cl.body[neck:])}")
-            code.emit(0, "return None")
-            return
-        chain = code.body(cl.body[neck + 1 :])
-        call = code.arguments(cl.body[neck][1])
-        if chain != "rest":
-            code.emit(0, f"rest = {chain}")
-        code.emit(0, f"args = {call}")
-        code.emit(0, f"candidates = lookup({src.const(self.pred)}, args)")
-        code.emit(0, f"if candidates is not {src.const(self)}:")
-        code.emit(1, "return candidates, args, rest")
-        if last:
+        code.proceed(cl.body[neck:], None, self if loops else None, inline)
+        if loops and last:
             code.emit(0, "start = 0")
 
     def compile(self, db: "Database"):
@@ -912,21 +977,12 @@ class Database:
             table: dict = {}
             unkeyed = Candidates(p)
             for cl in clauses:
-                t = cl.args[0]  # a template, keyed as lookup keys a term
-                tt = type(t)
-                if tt is VarSlot:
+                if type(cl.args[0]) is VarSlot:
                     unkeyed.append(cl)
                     for candidates in table.values():
                         candidates.append(cl)
                     continue
-                if tt is tuple:  # a compound holding a slot
-                    k = (t[0], len(t[1]))
-                elif tt is Struct:
-                    k = (t.functor, len(t.args))
-                elif tt is Int:
-                    k = t.value
-                else:  # an atom
-                    k = t
+                k = _key(cl.args[0])
                 candidates = table.get(k)
                 if candidates is None:
                     candidates = table[k] = Candidates(p, True)
@@ -960,8 +1016,9 @@ class Database:
 
     def lookup(self, pred: Pred, args):
         """The Candidates of a call of a predicate with clauses: the
-        clauses that may match it, in source order. Its ClausePred.fn asks
-        once per call. A bound first argument selects only the clauses
+        clauses that may match it, in source order. ClausePred.fn asks for
+        a call _run dispatches; an entry selects as it does, inline, for a
+        call it hands on. A bound first argument selects only the clauses
         whose first argument has its key (the atom itself, the integer's
         value, or functor and arity) or is a variable."""
         index = pred.index
@@ -980,6 +1037,10 @@ class Database:
         else:
             k = t
         return index[0].get(k, index[1])
+
+
+# an entry selects lists inline only while this is Database.lookup
+_LOOKUP = Database.lookup
 
 
 # ---------------------------------------------------------------------------

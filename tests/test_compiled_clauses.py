@@ -190,7 +190,7 @@ def chain(c, db) -> list[tuple[machine.Candidates, str]]:
     while c is not None:
         text, values = c.source(db)
         out.append((c, text))
-        (c,) = [v for v in values if type(v) is machine.Candidates and v is not c] or [None]
+        c = link(c, values)
     return out
 
 
@@ -200,8 +200,23 @@ def ran(c) -> list[machine.Candidates]:
     out = []
     while c is not None and c.run is not None:
         out.append(c)
-        (c,) = [v for v in c.run.__defaults__ if type(v) is machine.Candidates and v is not c] or [None]
+        c = link(c, c.run.__defaults__)
     return out
+
+
+def link(c, values) -> machine.Candidates | None:
+    """The link that c's entry hands calls on to, among the values it
+    binds: a list of c's record that lookup cannot return. The lists its
+    calls select are bound beside it."""
+    p = c.pred
+    table, unkeyed = p.index or ({}, None)
+    selectable = [p.clauses, unkeyed, *table.values()]
+    (c,) = [
+        v
+        for v in values
+        if type(v) is machine.Candidates and v.pred is p and v is not c and not any(v is x for x in selectable)
+    ] or [None]
+    return c
 
 
 def test_generated_source_of_every_prelude_entry_holds_no_term():
@@ -576,6 +591,21 @@ def test_the_arithmetic_of_the_prelude_generators_is_inline():
                     node.orelse = []
             called = {n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
             assert names and not names & called, (key, text)
+
+
+def test_a_slot_is_dereferenced_once_per_clause():
+    # N>1,N1 is N-1 and N>0,M is N-1 read N's value through one temporary,
+    # each guard keeping its own Int test, and the list of the call after
+    # them is selected from N1's or M's value, dereferenced once
+    s = Session()
+    for name in ("positive_ints", "length_of"):
+        p = s.db.pred((Atom(name), 2))
+        assert len(p.index[1]) == 1  # the recursive clause alone
+        text = p.index[1].source(s.db)[0]
+        loops = re.findall(r"(a\d+) = v(\d+)\n\s*while type\(\1\) is Var:\n", text)
+        assert sorted(int(v) for _, v in loops) == [0, 3 if name == "length_of" else 2], text
+        n = loops[0][0]
+        assert text.count(f"if type({n}) is Int:") == 2, text
 
 
 # -- first-call compilation under threads -----------------------------------------

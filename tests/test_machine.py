@@ -24,7 +24,7 @@ from hornlog import (
     write_term,
 )
 from hornlog import machine as machine_module
-from hornlog.machine import ClausePred, Database
+from hornlog.machine import NO, ClausePred, Database
 from hornlog.terms import TRUE
 
 from conftest import answers_str, list_parts, variant
@@ -565,10 +565,63 @@ def test_one_lookup_per_predicate_call_and_one_call_per_builtin():
                 assert s.first("x", goal.format(n)) is not None
                 assert counts["lookup"] == n + 1
                 assert counts[">"] == n and counts["is"] == n
+        # calls an entry hands on, its clause's first call past the neck:
+        # top/1, mid/2 and low/1, then end/1 after low/1's fact; every
+        # answer adds end/1 after low(2), and low/1 from mid/2's second
+        # clause
+        t = Session(text=CHAIN, prelude=False)
+        counts["lookup"] = 0
+        assert write_term(t.first("R", "top(R)")) == "1-a"
+        assert counts["lookup"] == 4
+        counts["lookup"] = 0
+        assert len(t.answers("R", "top(R)")) == 6
+        assert counts["lookup"] == 6
+        # as many as before entries handed calls on: each asked it by fn
+        counts["lookup"] = 0
+        assert write_term(s.first("R", "count_partitions(6,R)")) == "11"
+        assert counts["lookup"] == 152
     finally:
         mach.Database.lookup = saved_lookup
         mach.BUILTINS.clear()
         mach.BUILTINS.update(saved)
+
+
+CHAIN = """
+top(X-Y):-mid(X,Y).
+mid(X,Y):-low(X),end(Y).
+mid(X,z):-low(X).
+low(1).
+low(2).
+end(a).
+end(b).
+"""
+
+
+def test_a_chain_of_first_calls_runs_below_one_dispatch(monkeypatch):
+    # top/1's entry hands its call of mid/2 on to ClausePred.fn's loop, and
+    # mid/2's first clause, after its ClauseCP, its call of low/1: _run
+    # dispatches top/1, and then end/1, which low/1's fact leaves as a goal
+    s = Session(text=CHAIN, prelude=False)
+    e = s.new_engine("R", "top(R)")
+    calls = []
+    fn = ClausePred.fn
+
+    def counted(pred, m, *args):
+        calls.append(pred.key[0].name)
+        return fn(pred, m, *args)
+
+    monkeypatch.setattr(ClausePred, "fn", counted)
+    assert write_term(e.get().value) == "1-a"
+    assert calls == ["top", "end"]
+    assert [cp.clauses.pred.key[0].name for cp in e.cps] == ["mid", "low", "end"]
+    # each retry runs through fn; mid/2's runs its second clause, whose
+    # call of low/1 is handed on in place
+    del calls[:]
+    got = []
+    while (ans := e.get()) is not NO:
+        got.append(write_term(ans.value))
+    assert got == ["1-b", "2-a", "2-b", "1-z", "2-z"]
+    assert calls == ["end", "low", "end", "end", "mid", "low"]
 
 
 def test_every_boundary_copy_goes_through_the_traced_copy_term_names():

@@ -21,6 +21,11 @@ A third set draws its terms mostly from variables and integers, so that
 the arithmetic guards at a clause's neck, which an entry compiles into
 Python integer arithmetic, mostly run that code on integer operands;
 the other sets mostly run the call those guards fall back to.
+
+The plain and integer sets run twice more with Database.lookup wrapped by
+a pass-through, as the benchmark's tracer wraps it: an entry then asks
+lookup for each call it hands on, where it otherwise selects the callee's
+candidate list in its own code, so both forms are judged.
 """
 
 from __future__ import annotations
@@ -488,9 +493,13 @@ class Runaway(Exception):
     without end."""
 
 
-def bounded_steps(monkeypatch) -> list[int]:
-    """Make Database.lookup and ClauseCP.retry raise Runaway once the count
-    in the returned cell passes 50,000; a test resets it before each query."""
+def bounded_steps(monkeypatch, through_lookup=False) -> list[int]:
+    """Make ClauseCP.retry, and each call of Database.lookup through_lookup
+    or else each run of a generated entry, raise Runaway once the count in
+    the returned cell passes 50,000; a test resets it before each query.
+    Only a wrapped lookup is asked for the calls an entry hands on, so
+    without it the entries they run are counted; the rounds an entry goes
+    of its own loop are not."""
     calls = [0]
 
     def bounded(real):
@@ -502,7 +511,16 @@ def bounded_steps(monkeypatch) -> list[int]:
 
         return step
 
-    monkeypatch.setattr(machine.Database, "lookup", bounded(machine.Database.lookup))
+    if through_lookup:
+        monkeypatch.setattr(machine.Database, "lookup", bounded(machine.Database.lookup))
+    else:
+        compile_entry = machine.Candidates.compile
+
+        def compile_bounded(candidates, db):
+            candidates.run = bounded(compile_entry(candidates, db))
+            return candidates.run
+
+        monkeypatch.setattr(machine.Candidates, "compile", compile_bounded)
     monkeypatch.setattr(machine.ClauseCP, "retry", bounded(machine.ClauseCP.retry))
     return calls
 
@@ -548,12 +566,14 @@ def judged_queries(seed, constructs=False, integers=False):
     return program, judged, skipped
 
 
-def check_block(block, monkeypatch, constructs=False, integers=False):
+def check_block(block, monkeypatch, constructs=False, integers=False, through_lookup=False):
     """Check the seeds of block against the reference, with the prelude
-    loaded where the programs call its constructs."""
+    loaded where the programs call its constructs, and through_lookup
+    with Database.lookup wrapped."""
     checked = skipped = 0
     budgets = (machine._ENTRY_LINES, 40)
-    calls = bounded_steps(monkeypatch)
+    calls = bounded_steps(monkeypatch, through_lookup)
+    assert (machine.Database.lookup is machine._LOOKUP) is not through_lookup
     for seed in range(block, 320, 8):
         program, judged, n = judged_queries(seed, constructs, integers)
         skipped += n
@@ -581,3 +601,13 @@ def test_findall_if_and_not_answer_as_the_reference_solver_does(block, monkeypat
 @pytest.mark.parametrize("block", range(8))
 def test_integer_guards_answer_as_the_reference_solver_does(block, monkeypatch):
     check_block(block, monkeypatch, integers=True)
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_hornlog_answers_as_the_reference_solver_does_through_lookup(block, monkeypatch):
+    check_block(block, monkeypatch, through_lookup=True)
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_integer_guards_answer_as_the_reference_solver_does_through_lookup(block, monkeypatch):
+    check_block(block, monkeypatch, integers=True, through_lookup=True)
