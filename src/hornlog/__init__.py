@@ -14,20 +14,9 @@ clause store) purely out of engines.
     'a-b'
 """
 
-from .machine import (
-    EXHAUSTED,
-    NO,
-    AnswerReady,
-    Database,
-    Exhausted,
-    Machine,
-    MachineError,
-    The,
-    Yielded,
-    eval_arith,
-)
-from .reader import ParseError, parse_program, parse_term, parse_term_with_names
-from .session import Session, prelude_sources
+from .machine import NO, Machine, MachineError, The, Yielded
+from .reader import ParseError, parse_program, parse_term
+from .session import Session
 from .terms import (
     Atom,
     Int,
@@ -45,10 +34,16 @@ from .writer import write_term
 
 __version__ = "0.1.0"
 
+# the names README documents
 __all__ = [
     "Session",
+    "Machine",
     "The",
+    "Yielded",
     "NO",
+    "MachineError",
+    "Hub",
+    "ThreadRef",
     "Atom",
     "Int",
     "Struct",
@@ -60,20 +55,7 @@ __all__ = [
     "deref",
     "make_list",
     "parse_term",
-    "parse_term_with_names",
     "parse_program",
     "ParseError",
     "write_term",
-    "Machine",
-    "Database",
-    "MachineError",
-    "AnswerReady",
-    "Yielded",
-    "Exhausted",
-    "EXHAUSTED",
-    "eval_arith",
-    "Hub",
-    "ThreadRef",
-    "prelude_sources",
-    "__version__",
 ]

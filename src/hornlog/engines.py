@@ -9,7 +9,7 @@ on the session's diagnostic channel.
 
 from __future__ import annotations
 
-from .machine import EXHAUSTED, NO, Machine, builtin, handle_id, new
+from .machine import NO, Machine, builtin, handle_id, new
 from .terms import Atom, Struct, unify
 
 
@@ -37,7 +37,7 @@ def _bi_get(m, args, rest):
 def _bi_stop(m, args, rest):
     m.session.stop_id(handle_id(args[0], Machine))
     # an engine that stopped itself runs none of the rest of its goal
-    return EXHAUSTED if m.dead else True
+    return NO if m.dead else True
 
 
 @builtin("to_engine", 2)

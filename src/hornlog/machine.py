@@ -74,8 +74,11 @@ the process in a least-recently-used cache of 512 sources: another session
 over the same program, or another link of a chain over same-shape clauses,
 compiles nothing.
 
-A fault is one MachineError: a builtin raises it, and resume kills the
-machine and returns the same instance as its event. A machine's mailbox,
+resume returns the client's answer itself, as the paper's get returns
+the(X) or no: The(copy) for an answer, a Yielded, which is a The, for a
+return/1, and NO once the machine is exhausted or dead. A fault is one
+MachineError: a builtin raises it, and resume kills the machine and
+returns the same instance, which get turns into NO. A machine's mailbox,
 the copies deposited for from_engine, is made with the machine.
 
 Bindings are trailed conditionally: a variable younger than the newest
@@ -108,23 +111,12 @@ from .terms import (
 )
 
 # ---------------------------------------------------------------------------
-# events delivered by Machine.resume()
+# what Machine.resume returns, and what get hands its client
 
 
-class AnswerReady:
-    """A computed answer: an instance of the machine's answer pattern."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __repr__(self):
-        return f"AnswerReady({self.value!r})"
-
-
-class Yielded:
-    """An intermediate result handed out by the yield builtin."""
+class The:
+    """An answer, holding a standalone copy of an instance of the machine's
+    answer pattern. resume returns it and get hands the same object on."""
 
     __slots__ = ("value",)
 
@@ -132,17 +124,27 @@ class Yielded:
         self.value = value
 
     def __repr__(self):
-        return f"Yielded({self.value!r})"
+        return f"{type(self).__name__}({self.value!r})"
+
+
+class Yielded(The):
+    """A copy of the term a return/1 handed out; its client gets it as an
+    answer."""
+
+    __slots__ = ()
 
 
 class Exhausted:
     __slots__ = ()
 
     def __repr__(self):
-        return "Exhausted"
+        return "NO"
 
 
-EXHAUSTED = Exhausted()
+NO = Exhausted()  # the end: of an engine's answers, or of a dead engine
+
+# bench/tracing.py counts answer events under this name
+AnswerReady = The
 
 
 class MachineError(Exception):
@@ -1097,29 +1099,7 @@ class BetweenCP:
 
 
 # ---------------------------------------------------------------------------
-# handles and answers
-
-
-class The:
-    """A successful answer holding a standalone copy of the instance."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __repr__(self):
-        return f"The({self.value!r})"
-
-
-class _No:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "NO"
-
-
-NO = _No()
+# handles
 
 
 class Handle:
@@ -1207,10 +1187,10 @@ class Machine(Handle):
     # -- client operations ---------------------------------------------------
 
     def get(self):
-        """Next answer: The(term) or NO; NO forever once produced. Each
-        handle in an answer made after this engine was spawned is pinned
-        until its stop, so it still resolves when the host writes it and
-        reads it back."""
+        """Next answer: the The (or Yielded) resume returned, or NO; NO
+        forever once produced. Each handle in an answer made after this
+        engine was spawned is pinned until its stop, so it still resolves
+        when the host writes it and reads it back."""
         session = self.session
         ans = session.get_by_id(self.id)
         if ans is not NO and session.last_id > self.id:  # it may hold a newer handle
@@ -1224,10 +1204,11 @@ class Machine(Handle):
         return self.session.to_id(self.id, data)
 
     def resume(self):
-        """Run until the next event. Total: a dead machine reports Exhausted,
-        and a fault kills the machine and is returned as its event."""
+        """Run until the next event: The(copy) for an answer, Yielded(copy)
+        for a return/1, or NO. Total: a dead machine reports NO, and a
+        fault kills the machine and is returned as its event."""
         if self.dead:
-            return EXHAUSTED
+            return NO
         self.running = True
         try:
             return self._run()
@@ -1247,7 +1228,7 @@ class Machine(Handle):
 
     def kill(self):
         """Release all state, the mailbox's copies too; idempotent. Any
-        later resume reports Exhausted and any deposit fails."""
+        later resume reports NO and any deposit fails."""
         self.dead = True
         self.goals = None
         self.cps.clear()
@@ -1268,7 +1249,7 @@ class Machine(Handle):
             elif res is False:
                 if not self._backtrack():
                     self.kill()
-                    return EXHAUSTED
+                    return NO
             else:  # an event
                 return res
 
@@ -1547,7 +1528,7 @@ def _body_cut(m, barrier, rest):
 
 def _answer(m, args, rest):
     m.goals = _REDO
-    return AnswerReady(copy_term(m.pattern))
+    return The(copy_term(m.pattern))
 
 
 # records of the body cut and of a body goal that is a variable or not

@@ -22,7 +22,7 @@ import weakref
 from importlib import resources
 
 from . import engines  # registers its builtins before any session makes a record
-from .machine import EXHAUSTED, NO, Clause, Database, Handle, Machine, MachineError, The, compile_clause
+from .machine import NO, Clause, Database, Handle, Machine, MachineError, compile_clause
 from .reader import parse_program, parse_term
 from .terms import Atom, Int, Struct, Var, deref
 from .threads import Hub, ThreadRef
@@ -128,17 +128,15 @@ class Session:
         return self._outcome(machine, machine.resume())
 
     def _outcome(self, machine: Machine, ev):
-        """What a client gets for the event machine's resume returned: The
-        value of an answer or a yield, else NO. Calls on_event first and
-        reports a fault."""
+        """What a client gets for the event machine's resume returned: the
+        event itself, a The or NO, or NO for a fault, which it reports.
+        Calls on_event first."""
         if self.on_event is not None:
             self.on_event(machine.id, ev)
-        if ev is EXHAUSTED:
-            return NO
         if type(ev) is MachineError:
             self.report_error(machine.id, ev.kind, culprit=ev.culprit)
             return NO
-        return The(ev.value)
+        return ev
 
     def stop_id(self, eid: int) -> None:
         """Kill the engine and unpin it; while reachable it answers NO."""

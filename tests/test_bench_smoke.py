@@ -88,3 +88,22 @@ def test_traced_smoke_counts_stay_pinned(workload):
 @pytest.mark.parametrize("workload", sorted(PINNED_FULL))
 def test_traced_full_size_counts_stay_pinned(workload):
     assert_traced_counts(workload, "full", 7, PINNED_FULL[workload])
+
+
+def test_the_tracers_event_map_names_each_resume_outcome(monkeypatch):
+    # the tracer counts machine.events_* by type(event); a name the package
+    # no longer binds to the class resume returns would count nothing
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from tracing import EVENT_NAMES
+
+    from hornlog import Session
+
+    s = Session(prelude=False, text="f(a).")
+
+    def named(goal, n):
+        m = s.new_engine("X", goal)
+        return [EVENT_NAMES[type(m.resume())] for _ in range(n)]
+
+    assert named("f(X)", 2) == ["answer", "exhausted"]
+    assert named("return(X)", 1) == ["yield"]
+    assert named("g(X)", 1) == ["error"]

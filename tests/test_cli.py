@@ -192,7 +192,7 @@ def test_extract_prelude(tmp_path):
 def test_trace_prints_events():
     r = run_cli("--trace", "--goal", "member(X,[9])")
     assert r.returncode == 0
-    assert "AnswerReady" in r.stderr and "Exhausted" in r.stderr
+    assert "The(" in r.stderr and "NO" in r.stderr
 
 
 def test_batch_yields_print_like_answers():

@@ -4,9 +4,16 @@ import random
 import threading
 
 import hornlog
-from hornlog import NO, Machine, Session, The, Trail, parse_term, unify, write_term
+from hornlog import NO, Machine, Session, The, Trail, Yielded, parse_term, unify, write_term
 
 from conftest import answers_str, variant
+
+
+def test_a_yield_reaches_the_client_as_a_the(base):
+    e = base.new_engine("N", "loop(0)")
+    ans = e.get()
+    assert isinstance(ans, The) and type(ans) is Yielded and ans.value.value == 0
+    e.stop()
 
 
 def test_get_protocol_exact_sequence(base):

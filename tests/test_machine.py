@@ -7,24 +7,23 @@ import pytest
 
 import hornlog
 from hornlog import (
-    EXHAUSTED,
-    AnswerReady,
+    NO,
     Atom,
     Int,
     MachineError,
     Machine,
     Session,
     Struct,
+    The,
     Var,
     Yielded,
     deref,
-    eval_arith,
     make_list,
     parse_term,
     write_term,
 )
 from hornlog import machine as machine_module
-from hornlog.machine import NO, ClausePred, Database
+from hornlog.machine import ClausePred, Database, eval_arith
 from hornlog.terms import TRUE
 
 from conftest import answers_str, list_parts, variant
@@ -44,9 +43,9 @@ def events(m: Machine, n: int):
 def test_member_event_sequence(base):
     m = machine(base, "X", "member(X,[1,2])")
     evs = events(m, 4)
-    assert type(evs[0]) is AnswerReady and evs[0].value.value == 1
-    assert type(evs[1]) is AnswerReady and evs[1].value.value == 2
-    assert evs[2] is EXHAUSTED and evs[3] is EXHAUSTED
+    assert type(evs[0]) is The and evs[0].value.value == 1
+    assert type(evs[1]) is The and evs[1].value.value == 2
+    assert evs[2] is NO and evs[3] is NO
 
 
 def test_loop_yields(base):
@@ -58,7 +57,7 @@ def test_loop_yields(base):
 
 def test_fail_exhausts_immediately(base):
     m = machine(base, "X", "fail")
-    assert m.resume() is EXHAUSTED
+    assert m.resume() is NO
 
 
 def test_exhaustion_absorbing(base):
@@ -67,8 +66,8 @@ def test_exhaustion_absorbing(base):
     for _ in range(10):
         ev = m.resume()
         if seen_no:
-            assert ev is EXHAUSTED
-        if ev is EXHAUSTED:
+            assert ev is NO
+        if ev is NO:
             seen_no = True
     assert seen_no
 
@@ -87,7 +86,7 @@ def test_boot_is_lazy(base):
     m = machine(base, "X", "from_engine(X)")
     assert m.deposit(parse_term("late"))
     ev = m.resume()
-    assert type(ev) is AnswerReady and write_term(ev.value) == "late"
+    assert type(ev) is The and write_term(ev.value) == "late"
 
 
 def test_boot_copies_pattern_and_goal_jointly(base):
@@ -128,7 +127,7 @@ def test_from_engine_on_empty_mailbox_kills(base):
     ev = m.resume()
     assert type(ev) is MachineError and ev.kind == "mailbox_empty"
     assert m.dead
-    assert m.resume() is EXHAUSTED
+    assert m.resume() is NO
 
 
 def test_a_fault_is_one_class_and_its_event_has_no_traceback(base):
@@ -146,10 +145,16 @@ def test_kill_idempotent_and_total(base):
     m.resume()
     m.kill()
     m.kill()
-    assert m.resume() is EXHAUSTED
+    assert m.resume() is NO
     fresh = machine(base, "X", "member(X,[1])")
     fresh.kill()  # never run
-    assert fresh.dead and fresh.resume() is EXHAUSTED
+    assert fresh.dead and fresh.resume() is NO
+
+
+def test_a_dead_machine_resumes_to_the_clients_no(base):
+    m = machine(base, "X", "X is 1/0")
+    assert type(m.resume()) is MachineError and m.dead
+    assert m.resume() is hornlog.NO
 
 
 def test_unknown_predicate_error(base):
@@ -172,14 +177,14 @@ def test_determinacy_same_inputs_same_events(base):
         while True:
             ev = m.resume()
             out.append(ev)
-            if ev is EXHAUSTED:
+            if ev is NO:
                 return out
 
     t1, t2 = trace(), trace()
     assert len(t1) == len(t2)
     for a, b in zip(t1, t2):
         assert type(a) is type(b)
-        if type(a) is AnswerReady:
+        if type(a) is The:
             assert variant(a.value, b.value)
 
 
@@ -194,7 +199,7 @@ def test_suspension_transparency(base):
         inter.append(m2.resume())
     for a, b in zip(plain, inter):
         assert type(a) is type(b)
-        if type(a) is AnswerReady:
+        if type(a) is The:
             assert variant(a.value, b.value)
 
 
@@ -373,7 +378,7 @@ fold_cont(no,_,_,R,R).
     )
     m = machine(s, "R", "(new_engine(X,between(1,2000,X),E),fold(E,+,0,R))")
     ev = m.resume()
-    assert type(ev) is AnswerReady and ev.value.value == 2000 * 2001 // 2
+    assert type(ev) is The and ev.value.value == 2000 * 2001 // 2
     assert len(m.cps) == 0
     assert len(m.trail.entries) == 0
 
@@ -398,7 +403,7 @@ def test_last_alternative_leaves_nothing_on_the_trail(goal):
     # member/2 binds Y under its choice point, and the cut that removes it
     # drops the entry too
     m = machine(Session(text=TRUST), "ok", goal)
-    assert type(m.resume()) is AnswerReady
+    assert type(m.resume()) is The
     assert len(m.cps) == 0
     assert len(m.trail.entries) == 0
 
@@ -413,7 +418,7 @@ def test_cut_keeps_only_the_entries_older_choice_points_undo():
     assert len(m.cps) == 1
     assert sorted(id(v) for v in m.trail.entries) == sorted(id(v) for v in m.pattern.args)
     assert write_term(m.resume().value) == "1-1-q"
-    assert m.resume() is EXHAUSTED
+    assert m.resume() is NO
 
 
 def test_store_server_trail_stays_empty():
@@ -467,7 +472,7 @@ def test_single_candidate_call_leaves_no_choice_point():
     s = Session(text=INDEXED)
     m = machine(s, "R", "s(f(x),R)")
     ev = m.resume()
-    assert type(ev) is AnswerReady and write_term(ev.value) == "one"
+    assert type(ev) is The and write_term(ev.value) == "one"
     assert len(m.cps) == 0
     m = machine(s, "R", "p(a,R)")
     m.resume()
@@ -736,7 +741,7 @@ def test_answered_machine_resumes_through_its_goal_stack(base):
     (pred, args), rest = m.goals
     assert rest is None and pred.fn(m, args, rest) is False  # backtrack on resume
     assert m.resume().value.value == 2
-    assert m.resume() is EXHAUSTED
+    assert m.resume() is NO
 
 
 def test_metacalls_of_undefined_predicates_never_grow_the_table():
@@ -774,14 +779,14 @@ def test_app_over_a_long_list_is_one_entry_call_and_leaves_nothing(entry_calls):
     goal = Struct("app", (make_list([Int(i) for i in range(n)]), make_list([Atom("z")]), out))
     m = Machine(s, out, goal)
     ev = m.resume()
-    assert type(ev) is AnswerReady
+    assert type(ev) is The
     items, tail = list_parts(ev.value)
     assert len(items) == n + 1 and tail is Atom("[]")
     assert deref(items[0]).value == 0 and deref(items[n - 1]).value == n - 1 and deref(items[n]) is Atom("z")
     assert len(m.cps) == 0
     assert len(m.trail.entries) == 0
     assert entry_calls == {"app": 1}
-    assert m.resume() is EXHAUSTED
+    assert m.resume() is NO
 
 
 def test_nrev_runs_its_first_body_goal_in_place(entry_calls):
@@ -873,10 +878,10 @@ def test_a_failed_head_leaves_the_callers_variable_unbound():
     s = Session(text=SHALLOW, prelude=False)
     m = machine(s, "V", "r(V,y)")
     ev = m.resume()
-    assert type(ev) is AnswerReady and type(deref(ev.value)) is Var
+    assert type(ev) is The and type(deref(ev.value)) is Var
     assert len(m.cps) == 0
     assert len(m.trail.entries) == 0
-    assert m.resume() is EXHAUSTED
+    assert m.resume() is NO
 
 
 def test_the_last_candidate_after_failed_heads_trails_only_against_older_choice_points():
@@ -902,9 +907,9 @@ def test_backtracking_into_a_matched_heads_choice_point_undoes_its_bindings():
     assert deref(first).value == 2 and type(deref(second)) is Var
     m = machine(s, "V", "(c(V,z),var(V))")
     ev = m.resume()
-    assert type(ev) is AnswerReady and type(deref(ev.value)) is Var
+    assert type(ev) is The and type(deref(ev.value)) is Var
     assert len(m.cps) == 0
-    assert m.resume() is EXHAUSTED
+    assert m.resume() is NO
 
 
 @pytest.mark.parametrize(
@@ -967,12 +972,12 @@ def test_bindings_a_failed_guard_made_are_undone_before_the_next_head():
     s = Session(text=NECK, prelude=False)
     m = machine(s, "X-Y", "p(X,Y)")
     ev = m.resume()
-    assert type(ev) is AnswerReady
+    assert type(ev) is The
     x, y = ev.value.args
     assert type(deref(x)) is Var and deref(y) is Atom("d")
     assert len(m.cps) == 0
     assert len(m.trail.entries) == 0
-    assert m.resume() is EXHAUSTED
+    assert m.resume() is NO
 
 
 def test_a_guard_at_the_neck_runs_two_frames_below_the_run_loop(monkeypatch):
@@ -1021,10 +1026,10 @@ def test_a_retract_scanning_past_elements_makes_one_choice_point(n, counted_cps)
 def test_a_deep_guarded_recursion_runs_in_one_entry():
     s = Session(text=NECK, prelude=False)
     m = machine(s, "x", "c(1000000)")
-    assert type(m.resume()) is AnswerReady
+    assert type(m.resume()) is The
     # the one choice point is c(0)'s, over c(N), made as the recursion ends
     assert len(m.cps) == 1
-    assert m.resume() is EXHAUSTED
+    assert m.resume() is NO
 
 
 def test_calls_that_alternate_between_keyed_lists_hand_back_without_nesting():

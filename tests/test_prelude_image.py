@@ -10,7 +10,8 @@ from pathlib import Path
 
 import hornlog.machine as machine
 import hornlog.session as session
-from hornlog import Atom, Session, parse_program, prelude_sources
+from hornlog import Atom, Session, parse_program
+from hornlog.session import prelude_sources
 
 from conftest import answers_str
 

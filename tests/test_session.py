@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from hornlog import Session, Var, parse_term, write_term
+import hornlog
+from hornlog import NO, Session, The, Var, parse_term, write_term
 
 
 def test_session_loads_files(tmp_path):
@@ -87,7 +88,43 @@ def test_on_event_hook_sees_engine_events():
     s = Session(on_event=lambda eid, ev: events.append((eid, type(ev).__name__)))
     s.answers("X", "member(X,[1])")
     kinds = [k for _, k in events]
-    assert "AnswerReady" in kinds and "Exhausted" in kinds
+    assert "The" in kinds and "Exhausted" in kinds
+
+
+def test_get_hands_on_the_very_event_on_event_saw():
+    seen = []
+    s = Session(text="f(a).", on_event=lambda eid, ev: seen.append(ev))
+    e = s.new_engine("X", "f(X)")
+    ans = e.get()
+    assert type(ans) is The and ans is seen[-1]
+    assert e.get() is NO and seen[-1] is NO
+
+
+def test_the_public_names_are_the_ones_readme_documents():
+    assert sorted(hornlog.__all__) == [
+        "Atom",
+        "Hub",
+        "Int",
+        "Machine",
+        "MachineError",
+        "NO",
+        "ParseError",
+        "Session",
+        "Struct",
+        "The",
+        "ThreadRef",
+        "Trail",
+        "Var",
+        "Yielded",
+        "copy_term",
+        "deref",
+        "make_list",
+        "parse_program",
+        "parse_term",
+        "term_equal",
+        "unify",
+        "write_term",
+    ]
 
 
 def test_length_predicate():
