@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .machine import NO
+from .machine import NO, MachineError, Yielded
 from .reader import ParseError, parse_term_with_names
 from .session import PRELUDE_FILES, Session, prelude_sources
 from .terms import Atom, Struct, deref
@@ -44,6 +44,19 @@ def _format_answer(value) -> str:
             out.append(f"{name.name}={write_term(pair.args[1])}")
         return ", ".join(out)
     return write_term(value)
+
+
+def _trace(eid: int, ev) -> None:
+    """Print an engine event on stderr as its kind and, for an answer or a
+    yield, its term as the CLI writes answers; a fault as its kind and
+    culprit, as the error line that follows it does."""
+    if ev is NO:
+        text = "exhausted"
+    elif type(ev) is MachineError:
+        text = f"error {ev.kind}: {write_term(ev.culprit)}"
+    else:
+        text = f"{'yield' if type(ev) is Yielded else 'answer'} {_format_answer(ev.value)}"
+    print(f"% engine {eid}: {text}", file=sys.stderr)
 
 
 def _parse_query(text: str):
@@ -159,11 +172,7 @@ def main(argv=None) -> int:
     if args.extract_prelude:
         return extract_prelude(args.extract_prelude)
 
-    on_event = None
-    if args.trace:
-
-        def on_event(eid, ev):
-            print(f"% engine {eid}: {ev!r}", file=sys.stderr)
+    on_event = _trace if args.trace else None
 
     try:
         session = Session(files=args.consult, on_event=on_event)

@@ -60,7 +60,13 @@ the rest of the body back to the record's fn, which runs that list's entry
 in the same loop, after a choice point if candidates are left; the last
 candidate's call of its own record goes round the entry's own loop while
 it selects the same list. So app/3 over a list, member/2's scan, or a
-chain of calls p to q to r, is one call of fn. Where Database.lookup is
+chain of calls p to q to r, is one call of fn. Where that list makes no
+choice point, the loop keeps the head's arguments in locals, tests the
+list's own key before it reads the callee's index, and builds an
+argument tuple only to hand on; where the clause's output is a list whose
+tail it passes to its call, as app/3's [H|R], the loop collects each
+round's element and builds the cells once, innermost first, as tail
+recursion modulo cons does: no Var, tuple or binding per round. Where Database.lookup is
 not the method defined here, as where the benchmark's tracer wraps it to
 count predicate calls, an entry asks it instead, once per call. A list too
 long for one entry of _ENTRY_LINES lines is tried through a chain of
@@ -274,9 +280,25 @@ class _ClauseCode:
     and a closing step after them makes the Struct and binds the goal
     variable to it. Once the head is done, assigned holds exactly its
     slots, and the body makes the others where it first meets them.
+
+    In a register loop (see Candidates) the head's argument names are the
+    loop's registers, unpacked before it, and the clause's call of itself
+    sets them at the bottom of each round. In a fused one the output
+    argument's match runs only while out is None, and each call the
+    clause makes, a guard's or a fallback's, builds the collected cells
+    first (flush).
     """
 
-    def __init__(self, src: _Source, cl: Clause, db: "Database", indent: int, fail: str, keyed: bool = False):
+    def __init__(
+        self,
+        src: _Source,
+        cl: Clause,
+        db: "Database",
+        indent: int,
+        fail: str,
+        keyed: bool = False,
+        loop: bool = False,
+    ):
         self.src = src
         self.const = src.const
         self.preds = db._preds
@@ -286,7 +308,12 @@ class _ClauseCode:
         self.built: dict[int, str] = {}  # id of a compound template -> its Struct's name
         self.assigned: set[int] = set()  # slots that hold a value
         self.derefs: dict[int, str] = {}  # slot index -> its dereferenced value's temporary
-        self.head(cl.args, keyed)
+        self.ints: set[int] = set()  # slots whose temporary in derefs holds an Int
+        self.registers: list | None = None  # a register loop's head argument names, None: not one
+        # a fused loop's output argument, as _output() gives it; a loop
+        # that asks a lookup put in place of Database.lookup is not fused
+        self.output = _output(cl, db._preds, keyed) if loop and type(db).lookup is _LOOKUP else None
+        self.head(cl.args, keyed, loop)
 
     def emit(self, depth: int, line: str) -> None:
         self.src.emit(self.indent + depth, line)
@@ -333,16 +360,26 @@ class _ClauseCode:
                 steps.append((names[-1], t))
         return names, firsts, steps
 
-    def head(self, tpls, keyed: bool) -> None:
+    def head(self, tpls, keyed: bool, loop: bool) -> None:
         """keyed: the goal's first argument is bound to a term with the key
         of tpls[0], when that is not a slot, as lookup selected it: the
         same atom, an integer of the same value, or a compound of the same
         functor and arity; so that test is left out. It relies on freeze
         keying templates as lookup keys terms; leaving the test out
-        measured 3-4% of resolve's ops_per_s."""
+        measured 3-4% of resolve's ops_per_s.
+
+        loop: the head's arguments are unpacked once, before the register
+        loop's while True, and registers names them. A fused output's
+        match runs while out is None; otherwise the round only collects
+        its cell's element."""
         names, _, steps = self.unpacked(tpls)
         if names:
-            self.emit(0, f"{', '.join(names)}, = args")
+            self.emit(-1 if loop else 0, f"{', '.join(names)}, = args")
+        if loop:
+            self.registers = names
+            if self.output:
+                self.emit(-1, "out = None")
+            self.emit(-1, "while True:")
         # (temporary, template, holds a goal subterm, is a closing step):
         # the temporary of a step that does not hold one may be None
         work = [(name, t, True, False) for name, t in reversed(steps)]
@@ -356,6 +393,11 @@ class _ClauseCode:
                 names, _, steps = self.unpacked(t[1])
                 self.emit(0, f"{', '.join(names)}, = {name}.args")
                 work.extend((n, a, True, False) for n, a in reversed(steps))
+            elif loop:
+                self.registers[0] = None  # never read
+        if self.output:  # the output's are the only steps left
+            self.emit(0, "if out is None:")
+            self.indent += 1
         while work:
             name, t, root, closing = work.pop()
             if closing:
@@ -364,6 +406,8 @@ class _ClauseCode:
                 if not root:
                     self.emit(1, f"if {name} is not None:")
                 self.bind(1 if root else 2, name, b)
+                if self.output and t is self.output[1]:  # the goal's output is this cell: collect the rest
+                    self.emit(1, f"out, cells = v{self.output[2].index}, []")
                 continue
             live = "" if root else f"{name} is not None and "  # None: inside a built compound
             if type(t) is VarSlot:  # a later occurrence
@@ -385,6 +429,15 @@ class _ClauseCode:
             else:  # an integer or a ground compound
                 self.emit(0, f"elif {live}not unify({k}, {name}, trail):")
             self.emit(1, self.fail)
+        if self.output:
+            _, (_, (element, _)), _, void = self.output
+            if void:
+                element = "Var()"
+            else:
+                element = f"v{element.index}" if type(element) is VarSlot else self.const(element)
+            self.indent -= 1
+            self.emit(0, "else:")
+            self.emit(1, f"cells.append({element})")
 
     def open(self, name: str, t, root: bool) -> list:
         """A compound's check: unpack a matching goal subterm, or start
@@ -422,42 +475,47 @@ class _ClauseCode:
         return n
 
     def call(self, fn, args) -> None:
+        """Emit a call of fn that runs fail when it fails. In a fused loop
+        the cells collected so far are built first, as the call may read
+        them."""
+        self.flush(0)
         self.emit(0, f"if not {self.const(fn)}(m, {self.arguments(args)}, rest):")
         self.emit(1, self.fail)
 
+    def flush(self, depth: int) -> None:
+        """In a fused loop, emit the statements that build the cells
+        collected, if any, and bind the variable out to them; the output's
+        tail slot then holds the new variable that ends them."""
+        if self.output:
+            _, (functor, _), tail, _ = self.output
+            self.emit(depth, "if out is not None:")
+            self.emit(depth + 1, f"v{tail.index} = _cons(out, cells, {self.const(functor)}, trail)")
+            self.emit(depth + 1, "out = None")
+
     def arithmetic(self, fn, args) -> bool:
         """Emit a guard whose record's fn is is/2's or a comparison's own
-        builtin as Python integer arithmetic, if its expression templates
-        are made only of integers, slots that hold a value and the
-        operators of _INLINE_OPS; return whether it did. A record whose fn
-        is another function, such as a tracer's wrapper, keeps its call.
+        builtin as Python integer arithmetic where _inline() allows it;
+        return whether it did. A record whose fn is another function, such
+        as a tracer's wrapper, keeps its call.
 
         Each slot of the expressions is dereferenced into a temporary once
         in the clause (deref), and one test that every such value is an Int
         guards the arithmetic.
         is/2 gives a slot that holds no value yet its Int directly, with no
-        Var, Struct, argument tuple, eval_arith or unify; a slot that holds
-        one is unified with that Int, and an integer left side is compared
-        with it, as unify compares two integers. An is/2 with any other
-        left side keeps its call, as unify fails on a compound and an
-        integer. When the test fails, a non-integer or unbound operand, the
-        guard's call runs instead: the same call that the guard compiles to
-        when it is not inlined, so every answer and fault is as that call
-        gives it."""
-        op = _ARITH_GUARDS.get(fn)
-        if op is None:
+        Var, Struct, argument tuple, eval_arith or unify, and that Int is
+        the slot's dereferenced temporary too; a slot that holds one is
+        unified with that Int, and an integer left side is compared with
+        it, as unify compares two integers. When the test fails, a
+        non-integer or unbound operand, the guard's call runs instead: the
+        same call that the guard compiles to when it is not inlined, so
+        every answer and fault is as that call gives it."""
+        if not _inline(fn, args, self.assigned):
             return False
-        target = None
-        if fn is _bi_is:
-            if type(args[0]) is VarSlot:
-                target = args[0]
-            elif type(args[0]) is not Int:
-                return False
+        op = _ARITH_GUARDS[fn]
+        target = args[0] if fn is _bi_is and type(args[0]) is VarSlot else None
         leaves: dict[int, str] = {}  # slot index -> its dereferenced value's temporary
         steps: list[str] = []
         texts = [self.integral(t, leaves, steps) for t in (args if target is None else args[1:])]
-        if None in texts:
-            return False
         for index, name in leaves.items():
             self.deref(index, name)
         depth = 0
@@ -472,15 +530,23 @@ class _ClauseCode:
         elif target.index in self.assigned:
             self.emit(depth, f"if not unify(v{target.index}, Int({texts[0]}), trail):")
             self.emit(depth + 1, self.fail)
+            target = None
         else:
-            self.emit(depth, f"v{target.index} = Int({texts[0]})")
+            self.ntemps += 1
+            value = self.derefs[target.index] = f"a{self.ntemps}"
+            self.ints.add(target.index)
+            self.emit(depth, f"v{target.index} = {value} = Int({texts[0]})")
         if leaves:
             self.emit(0, "else:")
             self.indent += 1
             self.call(fn, args)
+            if target is not None:  # bound to an Int by the call
+                self.emit(0, f"{value} = v{target.index}")
+                self.emit(0, f"while type({value}) is Var:")
+                self.emit(1, f"{value} = {value}.ref")
             self.indent -= 1
-        if target is not None:
-            self.assigned.add(target.index)
+        if fn is _bi_is and type(args[0]) is VarSlot:
+            self.assigned.add(args[0].index)
         return True
 
     def deref(self, index: int, name: str | None = None) -> str:
@@ -497,15 +563,14 @@ class _ClauseCode:
             self.emit(1, f"{name} = {name}.ref")
         return self.derefs[index]
 
-    def integral(self, tpl, leaves: dict[int, str], steps: list[str]) -> str | None:
-        """The Python text of integer expression template tpl, or None if
-        it holds anything but integers, slots that hold a value and the
-        operators of _INLINE_OPS. A slot's text reads the value of its
+    def integral(self, tpl, leaves: dict[int, str], steps: list[str]) -> str:
+        """The Python text of integer expression template tpl, which
+        _integral() accepts. A slot's text reads the value of its
         temporary in leaves: its deref's if it has one, else a new name.
-        Each operator below
-        the root goes into steps as a statement that computes it into a
-        temporary of its own, so the text nests no operator in another,
-        whatever the depth of tpl; the walk uses an explicit stack too."""
+        Each operator below the root goes into steps as a statement that
+        computes it into a temporary of its own, so the text nests no
+        operator in another, whatever the depth of tpl; the walk uses an
+        explicit stack too."""
         texts: list[str] = []
         work: list = [(tpl, None)]
         while work:
@@ -522,26 +587,17 @@ class _ClauseCode:
             elif type(t) is Int:
                 texts.append(self.const(t.value))
             elif type(t) is VarSlot:
-                if t.index not in self.assigned:
-                    return None
                 name = leaves.get(t.index) or self.derefs.get(t.index)
                 if name is None:
                     self.ntemps += 1
                     name = f"a{self.ntemps}"
                 leaves[t.index] = name
                 texts.append(f"{name}.value")
-            elif type(t) is tuple or type(t) is Struct:
+            else:
                 functor, targs = t if type(t) is tuple else (t.functor, t.args)
-                if len(targs) == 2:
-                    op = _INLINE_OPS.get(functor)
-                elif len(targs) == 1 and functor is _MINUS:
-                    op = "-"
-                if op is None:
-                    return None
+                op = _INLINE_OPS[functor] if len(targs) == 2 else "-"
                 work.append((len(targs), op))
                 work.extend((a, None) for a in reversed(targs))
-            else:
-                return None
         return texts[0]
 
     def proceed(self, goals, push: str | None, own: Candidates | None, inline: bool) -> None:
@@ -560,12 +616,14 @@ class _ClauseCode:
             self.emit(0, "return None")
             return
         args = goals[0][1]
-        if not inline:
-            select = f"m.db.lookup({self.const(callee)}, args)"
-        else:  # a slot the head and guards left unassigned is a new variable
-            fresh = not args or type(args[0]) is VarSlot and args[0].index not in self.assigned
-            select = self.select(callee, None if fresh else args[0])
+        # a slot the head and guards left unassigned is a new variable
+        fresh = not args or type(args[0]) is VarSlot and args[0].index not in self.assigned
+        tpl = None if fresh else args[0]
+        select = self.select(callee, tpl) if inline else f"m.db.lookup({self.const(callee)}, args)"
         chain = self.body(goals[1:])
+        if self.registers is not None:
+            self.repeat(callee, args, tpl, select, chain, own, inline)
+            return
         call = self.arguments(args)
         if push:
             self.emit(0, push)
@@ -579,6 +637,81 @@ class _ClauseCode:
         self.emit(0, f"if candidates is not {self.const(own)}:")
         self.emit(1, "return candidates, args, rest")
 
+    def repeat(self, callee: Pred, args, tpl, select: str, chain: str, own: Candidates, inline: bool) -> None:
+        """Emit the bottom of a register loop, whose call is of own's
+        record: while the call selects own, set the head's registers from
+        its arguments and go round; else build the argument tuple and hand
+        on. Inline, a call whose first argument has own's key goes round
+        before the callee's table is read; a fused loop builds its cells
+        before any other selection, which may read them."""
+        if chain != "rest":
+            self.emit(0, f"rest = {chain}")
+        values = [self.build(a) for a in args]
+        call = self.const(args) if _ground(args) else f"({', '.join(values)},)"
+        if not inline:
+            self.emit(0, f"args = {call}")
+            self.emit(0, f"candidates = {select}")
+            self.emit(0, f"if candidates is not {self.const(own)}:")
+            self.emit(1, "return candidates, args, rest")
+            self.reassign(0, values)
+            return
+        first = tpl if type(tpl) is VarSlot and callee.index is not None else None
+        if first is None and select == self.const(own):  # a constant selection of own
+            self.reassign(0, values)
+            self.emit(0, "continue")
+            return
+        again = moved = False  # whether the call may still select own; whether out may have been its value
+        if first is not None:
+            t = self.deref(first.index)
+            test = self.owns(callee, own, first.index)
+            if test:
+                self.emit(0, f"if {test}:")
+                self.reassign(1, [t, *values[1:]])
+                self.emit(1, "continue")
+            moved = bool(self.output) and first.index not in self.ints
+            again = not test or moved
+        self.flush(0)
+        if again and moved:
+            self.emit(1, f"{t} = v{first.index}")
+            self.emit(1, f"while type({t}) is Var:")
+            self.emit(2, f"{t} = {t}.ref")
+        if not again:
+            self.emit(0, f"args = {call}")
+            self.emit(0, f"return {select}, args, rest")
+            return
+        self.emit(0, f"candidates = {select}")
+        self.emit(0, f"if candidates is not {self.const(own)}:")
+        self.emit(1, f"args = {call}")
+        self.emit(1, "return candidates, args, rest")
+        self.reassign(0, values)
+
+    def reassign(self, depth: int, values: list[str]) -> None:
+        """Emit the statement that sets each register read to its value."""
+        pairs = [(r, v) for r, v in zip(self.registers, values) if r is not None and r != v]
+        if pairs:
+            self.emit(depth, f"{', '.join(r for r, _ in pairs)} = {', '.join(v for _, v in pairs)}")
+
+    def owns(self, callee: Pred, own: Candidates, index: int) -> str | None:
+        """The test that slot index's dereferenced value selects own from
+        callee's index: it has own's key, or, for the list of the keys the
+        table lacks, a key the table lacks. None where no value can, or
+        only an unbound one."""
+        table, unkeyed = callee.index
+        t = self.derefs[index]
+        known = index in self.ints  # an Int
+        if own is unkeyed:
+            if known:
+                return f"{t}.value not in {self.const(table)}"
+            return f"{t} is not None and ({self.key_of(t)}) not in {self.const(table)}"
+        key = next((k for k, c in table.items() if c is own), None)
+        if type(key) is int:
+            return f"{'' if known else f'type({t}) is Int and '}{t}.value == {self.const(key)}"
+        if known or key is None:  # never own, or own for an unbound argument only
+            return None
+        if type(key) is tuple:
+            return f"type({t}) is Struct and {t}.functor is {self.const(key[0])} and len({t}.args) == {key[1]}"
+        return f"{t} is {self.const(key)}"
+
     def select(self, callee: Pred, tpl) -> str:
         """The expression of the list lookup selects for a call of callee
         with first argument tpl (None: a new variable), constant unless tpl
@@ -589,8 +722,15 @@ class _ClauseCode:
         if type(tpl) is not VarSlot:
             return self.const(table.get(_key(tpl), unkeyed))
         t = self.deref(tpl.index)
-        key = f"({t}.functor, len({t}.args)) if type({t}) is Struct else {t}.value if type({t}) is Int else {t}"
-        return f"{self.const(callee.clauses)} if {t} is None else {self.const(table)}.get({key}, {self.const(unkeyed)})"
+        if tpl.index in self.ints:
+            return f"{self.const(table)}.get({t}.value, {self.const(unkeyed)})"
+        every = self.const(callee.clauses)
+        return f"{every} if {t} is None else {self.const(table)}.get({self.key_of(t)}, {self.const(unkeyed)})"
+
+    @staticmethod
+    def key_of(t: str) -> str:
+        """The expression of the index key of the bound value t names."""
+        return f"({t}.functor, len({t}.args)) if type({t}) is Struct else {t}.value if type({t}) is Int else {t}"
 
     def body(self, goals) -> str:
         """Push goals onto rest from the last to the first, each with its
@@ -636,6 +776,125 @@ class _ClauseCode:
         if type(tpl) is VarSlot:
             return f"v{tpl.index}"
         return self.built[id(tpl)] if type(tpl) is tuple else self.const(tpl)
+
+
+def _inline(fn, args, assigned) -> bool:
+    """Whether a guard of fn over args compiles to integer arithmetic,
+    given the slots that hold a value: fn is is/2's or a comparison's own
+    builtin, is/2's left side is a slot or an integer, and each expression
+    template passes _integral()."""
+    if fn not in _ARITH_GUARDS:
+        return False
+    if fn is _bi_is and type(args[0]) is not Int:
+        if type(args[0]) is not VarSlot:
+            return False
+        args = args[1:]
+    return all(_integral(t, assigned) for t in args)
+
+
+def _integral(tpl, assigned) -> bool:
+    """Whether expression template tpl holds only integers, slots that
+    hold a value, the binary operators of _INLINE_OPS and unary -."""
+    work = [tpl]
+    while work:
+        t = work.pop()
+        if type(t) is VarSlot:
+            if t.index not in assigned:
+                return False
+        elif type(t) is tuple or type(t) is Struct:
+            functor, targs = t if type(t) is tuple else (t.functor, t.args)
+            if not (len(targs) == 2 and functor in _INLINE_OPS or len(targs) == 1 and functor is _MINUS):
+                return False
+            work.extend(targs)
+        elif type(t) is not Int:
+            return False
+    return True
+
+
+def _slots(tpls) -> list[int]:
+    """The index of each slot occurrence in templates tpls, in no order."""
+    out, work = [], list(tpls)
+    while work:
+        t = work.pop()
+        if type(t) is VarSlot:
+            out.append(t.index)
+        elif type(t) is tuple:
+            work.extend(t[1])
+    return out
+
+
+def _output(cl: Clause, preds, keyed: bool):
+    """The output argument of a self-looping clause that a fused loop
+    builds once, as (its position, its template, the template's tail slot,
+    whether the cell's element is a slot of its own), or None.
+
+    The argument is past the first, and its template is a binary compound
+    whose second argument is a slot that occurs only there and as the same
+    argument of the clause's call of itself past its neck. The element, the
+    template's first argument, is a constant, a slot of another head
+    argument, or a slot that occurs nowhere else. Each other head argument
+    is a slot that occurs first there, or the keyed first argument, whose
+    compound's arguments are such slots; so no head step but the output's
+    reads a term. Each guard compiles inline with no unify: its is/2
+    targets hold no value yet."""
+    neck = _neck(cl.body)
+    call = cl.body[neck][1]
+    counts: dict[int, int] = {}
+    for i in _slots([*cl.args, *(a for _, args in cl.body if args for a in args)]):
+        counts[i] = counts.get(i, 0) + 1
+    for j in range(1, len(cl.args)):
+        t, tail = cl.args[j], call[j]
+        if type(t) is tuple and len(t[1]) == 2 and t[1][1] is tail:
+            if type(tail) is VarSlot and counts[tail.index] == 2:
+                break
+    else:
+        return None
+    held: set[int] = set()  # the slots the other head arguments unpack
+    for i, a in enumerate(cl.args):
+        if i == j:
+            continue
+        if type(a) is VarSlot:
+            parts = [a]
+        elif i == 0 and keyed and type(a) in (Atom, Int, tuple):
+            parts = a[1] if type(a) is tuple else []
+        else:
+            return None
+        for p in parts:
+            if type(p) is not VarSlot or p.index in held:
+                return None
+            held.add(p.index)
+    element = t[1][0]
+    void = type(element) is VarSlot and counts[element.index] == 1
+    if type(element) is tuple or type(element) is VarSlot and not void and element.index not in held:
+        return None
+    assigned = set(_slots(cl.args))
+    for key, args in cl.body[:neck]:
+        fn = preds[key].fn
+        if not _inline(fn, args, assigned):
+            return None
+        if fn is _bi_is and type(args[0]) is VarSlot:
+            if args[0].index in assigned:
+                return None
+            assigned.add(args[0].index)
+    return j, t, tail, void
+
+
+def _cons(out: Var, cells: list, functor: Atom, trail: Trail) -> Var:
+    """Bind out to the chain of functor/2 compounds whose first arguments
+    are cells, made innermost first so that each Struct is whole when made,
+    and return the new variable that ends it; with no cells, out itself."""
+    if not cells:
+        return out
+    end = tail = Var()
+    for x in reversed(cells):
+        cell = new(Struct)
+        cell.functor = functor
+        cell.args = x, tail
+        tail = cell
+    out.ref = tail
+    if out.serial < trail.boundary:
+        trail.entries.append(out)
+    return end
 
 
 def _ground(tpls) -> bool:
@@ -841,6 +1100,23 @@ class Candidates(list):
     selects only for a first argument of its key, leaves that argument's
     functor, atom or integer test out of its heads.
 
+    A list of one clause that calls itself past its neck makes no choice
+    point, and its entry is a register loop: it unpacks args into the
+    head's argument names once, before its while True, and at the bottom
+    of each round sets them from the call's arguments, built as values,
+    not as a tuple. Inline, a call whose first argument has this list's
+    key (or, for the list of the other keys, a key the index lacks) goes
+    round at once; the callee's table is read, and the argument tuple
+    built, only where the loop may hand on. A register loop is fused where
+    _output() finds the clause's output argument: the first round matches
+    it as any head does, and once that binds the goal's variable to a new
+    cell, later rounds only append each cell's element to cells; before
+    the loop hands on, and before any call that may read them, _cons
+    builds the cells, binds that first cell's tail variable out to them
+    and ends them with one new variable. Asking a lookup put in place of
+    Database.lookup, a loop is never fused and builds the tuple each round
+    to ask it.
+
     Where the inlined clauses would take the source past _ENTRY_LINES, the
     entry holds the first n that fit, at least one, and hands the call on
     to more, a chain of lists of n candidates each made when the entry is
@@ -895,7 +1171,7 @@ class Candidates(list):
         inline = type(db).lookup is _LOOKUP
         src.emit(2, "trail = m.trail")
         top = 2
-        if loops:
+        if loops and last:
             src.emit(2, "while True:")
             top = 3
         if last:
@@ -919,7 +1195,10 @@ class Candidates(list):
             src.emit(top, f"return {src.const(more)}, args, rest")
             return
         cl = self[last]
-        code = _ClauseCode(src, cl, db, top, "return False", self.keyed)
+        if loops and not last:  # a register loop, which emits its own while True
+            code = _ClauseCode(src, cl, db, 3, "return False", self.keyed, True)
+        else:
+            code = _ClauseCode(src, cl, db, top, "return False", self.keyed)
         neck = code.guards(cl.body)
         code.proceed(cl.body[neck:], None, self if loops else None, inline)
         if loops and last:

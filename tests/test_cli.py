@@ -190,9 +190,14 @@ def test_extract_prelude(tmp_path):
 
 
 def test_trace_prints_events():
+    # each event's kind, and its term as the answer line writes it
     r = run_cli("--trace", "--goal", "member(X,[9])")
     assert r.returncode == 0
-    assert "The(" in r.stderr and "NO" in r.stderr
+    assert r.stderr.splitlines() == ["% engine 1: answer X=9", "% engine 1: exhausted"]
+    r = run_cli("--trace", "--goal", "loop(7)", "--limit", "1")
+    assert r.stderr.splitlines() == ["% engine 1: yield 7"]
+    r = run_cli("--trace", "--goal", "X is foo+1")
+    assert r.stderr.splitlines() == ["% engine 1: error type_error: foo", "! engine 1: type_error: foo"]
 
 
 def test_batch_yields_print_like_answers():

@@ -142,7 +142,8 @@ def _arity_checks(tree) -> set[int]:
 # values: its functions and parameters, its locals, the goal chain, and globals
 IDENTIFIERS = {
     "make", "run", "m", "args", "trail", "rest", "start", "g", "Var", "Struct", "Int", "new", "bind", "unify",
-    "len", "type", "mark", "outer", "stamp", "next_stamp", "ClauseCP", "lookup", "candidates",
+    "len", "type", "mark", "outer", "stamp", "next_stamp", "ClauseCP", "lookup", "candidates", "out", "cells",
+    "_cons",
 }  # fmt: skip
 
 
@@ -606,6 +607,117 @@ def test_a_slot_is_dereferenced_once_per_clause():
         assert sorted(int(v) for _, v in loops) == [0, 3 if name == "length_of" else 2], text
         n = loops[0][0]
         assert text.count(f"if type({n}) is Int:") == 2, text
+
+
+# -- register loops and output lists built once -----------------------------------
+
+
+def fused_lists(s: Session) -> list[tuple[str, int, object]]:
+    """(name, arity, key) of each list of s whose entry builds its output
+    list once: key is its index key, or "unkeyed" or "all"."""
+    out = []
+    for p, c in candidate_lists(s):
+        if "cells.append(" in c.source(s.db)[0]:
+            table, unkeyed = p.index or ({}, None)
+            key = next((k for k, v in table.items() if v is c), "unkeyed" if c is unkeyed else "all")
+            out.append((p.key[0].name, p.key[1], key))
+    return sorted(out, key=repr)
+
+
+def test_the_prelude_entries_that_fuse():
+    s = Session()
+    assert fused_lists(s) == [
+        ("append", 3, (Atom("."), 2)),
+        ("length_of", 2, "unkeyed"),
+        ("positive_ints", 2, "unkeyed"),
+    ]
+
+
+def test_app_over_a_hundred_thousand_elements_makes_a_constant_number_of_variables():
+    n = 100_000
+    s = Session(text=NREV, prelude=False)
+    out = Var()
+    goal = Struct("app", (make_list([Int(i) for i in range(n)]), make_list([Int(n)]), out))
+    before = machine.next_stamp()
+    (got,) = s.answers(out, goal)
+    assert machine.next_stamp() - before < 100  # one per round before
+    elems, tail = list_parts(got)
+    assert [deref(e).value for e in elems] == list(range(n + 1)) and write_term(tail) == "[]"
+
+
+def test_length_of_a_hundred_thousand_makes_a_variable_per_element_only():
+    n = 100_000
+    s = Session()
+    before = machine.next_stamp()
+    (got,) = s.answers("L", f"length(L,{n})")
+    # each element is a variable, made once in the loop and once by the
+    # answer's copy; the loop made a second, for the list's tail, per round
+    assert machine.next_stamp() - before - 2 * n < 100
+    elems, tail = list_parts(got)
+    assert len({id(deref(e)) for e in elems}) == n and all(type(deref(e)) is Var for e in elems)
+    assert write_term(tail) == "[]"
+
+
+def test_positive_ints_makes_a_constant_number_of_variables():
+    s = Session()
+    before = machine.next_stamp()
+    (got,) = s.answers("L", "positive_ints(2000,L)")
+    assert machine.next_stamp() - before < 100
+    elems, tail = list_parts(got)
+    assert [deref(e).value for e in elems] == list(range(2000, 0, -1)) and write_term(tail) == "[]"
+
+
+FUSED = NREV + """
+pos([],[]).
+pos([X|Xs],[X|Ys]):-X>0,pos(Xs,Ys).
+q([],[]).
+q([X|Xs],[a|Ys]):-X>0,q(Xs,Ys).
+"""
+# (pattern, goal, its first three answers, its faults) as the entries
+# before fused loops gave them, with variables renamed _0, _1, ... in order:
+# output lists bound or partly bound, open input lists that end a loop
+# mid-list, an output variable that is also an element of the input
+# (checked with ==, as the list is cyclic), and guard operands that leave
+# the integer path mid-loop, with the list built so far in the culprit
+FUSED_GOALS = [
+    ("x", "app([a,b],[c],[a,b,c])", ["x"], []),
+    ("x", "app([a,b],[c],[a,b,d])", [], []),
+    ("T", "app([a,b],[c],[a|T])", ["[b,c]"], []),
+    ("X-Y-T", "app([a,b],[c],[X,Y|T])", ["a-b-[c]"], []),
+    ("x", "positive_ints(3,[3,2,1])", ["x"], []),
+    ("X-T", "positive_ints(3,[3,X|T])", ["2-[1]"], []),
+    ("x", "positive_ints(3,[3,1|_])", [], []),
+    ("L", "length(L,3)", ["[_0,_1,_2]"], []),
+    ("x", "length([a,b,c],3)", ["x"], []),
+    ("x", "length([a,b],3)", [], []),
+    ("L", "length([a|L],3)", ["[_0,_1]"], []),
+    ("R-T", "app([a,b|T],[c],R)", ["[a,b,c]-[]", "[a,b,_0,c]-[_0]", "[a,b,_1,_2,c]-[_1,_2]"], []),
+    ("R-T", "append([a,b|T],[c],R)", ["[a,b,c]-[]", "[a,b,_0,c]-[_0]", "[a,b,_1,_2,c]-[_1,_2]"], []),
+    ("A-C", "app([a,R],[c],R),R=[A,B,C],B==R", ["a-c"], []),
+    ("A-C", "append([a,R],[c],R),R=[A,B,C],B==R", ["a-c"], []),
+    ("A-B", "app([a,b,R,d],[e],R),R=[A,B,X|_],X==R", ["a-b"], []),
+    ("L", "pos([1,2,a,3],L)", [], ["type_error: a"]),
+    ("L", "q([1,2,f(L),3],L)", [], ["type_error: f([a,a,a|_0])"]),
+    ("L", "q([1,2,3],L)", ["[a,a,a]"], []),
+    ("L", "pos([1,2,_,3],L)", [], ["instantiation_error: _0"]),
+    ("L", "positive_ints(a,L)", [], ["type_error: a"]),
+    ("L", "length(L,a)", [], ["type_error: a"]),
+]
+
+
+def renamed_vars(text: str, names: dict) -> str:
+    return re.sub(r"_G\d+", lambda m: names.setdefault(m.group(), f"_{len(names)}"), text)
+
+
+def test_fused_loops_answer_and_fault_as_before():
+    s = Session(text=FUSED)
+    assert ("pos", 2, (Atom("."), 2)) in fused_lists(s) and ("q", 2, (Atom("."), 2)) in fused_lists(s)
+    for pattern, goal, answers, faults in FUSED_GOALS:
+        lines: list[str] = []
+        s.on_error = lines.append
+        names: dict = {}
+        got = [renamed_vars(write_term(v), names) for v in s.answers(pattern, goal, limit=3)]
+        assert (got, [renamed_vars(line.split(": ", 1)[1], names) for line in lines]) == (answers, faults), goal
 
 
 # -- first-call compilation under threads -----------------------------------------

@@ -22,6 +22,11 @@ the arithmetic guards at a clause's neck, which an entry compiles into
 Python integer arithmetic, mostly run that code on integer operands;
 the other sets mostly run the call those guards fall back to.
 
+Every program also holds lp, a predicate whose last clause calls itself
+on the tail of its output list, in one of three shapes (app/3's, an
+integer countdown, a void element), and two more queries call it: an
+entry runs such a loop in place and builds the list once.
+
 The plain and integer sets run twice more with Database.lookup wrapped by
 a pass-through, as the benchmark's tracer wraps it: an entry then asks
 lookup for each call it hands on, where it otherwise selects the callee's
@@ -545,18 +550,62 @@ def hornlog_answers(session, goal):
     return got, [line.split(": ")[1] for line in lines]
 
 
+LOOP_SHAPES = ("app", "count", "void")
+
+
+def looping(shape):
+    """The clauses of lp, a predicate whose last clause calls itself on the
+    tail of its output list, of one shape: app/3's, a countdown as
+    positive_ints/2's, or length_of/2's, whose list elements are variables
+    of their own. An entry runs such a loop in place and builds the list
+    once, after its last round."""
+    h, t, l, r, n, m = (RVar(v) for v in "HTLRNM")
+    if shape == "app":
+        return [(("lp", "[]", l, l), []), (("lp", (".", h, t), l, (".", h, r)), [("lp", t, l, r)])]
+    element = n if shape == "count" else RVar("_")
+    step = [(">", n, 0), ("is", m, ("-", n, 1)), ("lp", m, r)]
+    return [(("lp", 0, "[]"), []), (("lp", n, (".", element, r)), step)]
+
+
+def loop_query(rng, gen, shape, serial):
+    """A call of lp: an input list, maybe open, or a count, maybe no
+    integer; the output a variable, a partial list or a list."""
+
+    def var():
+        return RVar(f"Q{next(serial)}")
+
+    def items(n, tail):
+        for _ in range(n):
+            tail = (".", gen.term([var()], 1), tail)
+        return tail
+
+    roll = rng.random()
+    out = var() if roll < 0.6 else items(rng.randint(1, 2), var()) if roll < 0.8 else items(rng.randint(0, 4), "[]")
+    if shape == "app":
+        return ("lp", items(rng.randint(0, 5), var() if rng.random() < 0.3 else "[]"), gen.term([var()], 1), out)
+    return ("lp", rng.choice([-1, 0, 1, 2, 3, 5, "a", var()]), out)
+
+
 def judged_queries(seed, constructs=False, integers=False):
     """A seeded program, and each of its queries the reference judges with
-    what it answers."""
+    what it answers. Each program also holds lp, a self-looping predicate
+    of one of LOOP_SHAPES, and two more queries call it; they draw from a
+    random sequence of their own, so the other queries are as they were."""
     rng = random.Random(seed)
     gen = IntegerGen(rng) if integers else Gen(rng, constructs)
     keys, program = gen.program()
-    judged, skipped = [], 0
+    goals = []
     for i in range(4):
         name, arity = rng.choice(keys[-2:])
         # no variable shared between arguments: a head such as p(X,f(X))
         # would otherwise often build a cyclic term
-        goal = (name, *(gen.term([RVar(f"Q{j}")]) for j in range(arity)))
+        goals.append((name, *(gen.term([RVar(f"Q{j}")]) for j in range(arity))))
+    shape = LOOP_SHAPES[seed % len(LOOP_SHAPES)]
+    program[("lp", 3 if shape == "app" else 2)] = looping(shape)
+    gen.rng = random.Random(f"lp:{seed}")
+    goals += [loop_query(gen.rng, gen, shape, itertools.count()) for _ in range(2)]
+    judged, skipped = [], 0
+    for goal in goals:
         try:
             want, fault = Reference(program).answers(goal)
         except Skip:
