@@ -10,7 +10,7 @@ on the session's diagnostic channel.
 from __future__ import annotations
 
 from .machine import NO, Machine, builtin, handle_id, new
-from .terms import Atom, Struct, unify
+from .terms import Atom, Int, Struct, Var, unify
 
 
 @builtin("new_engine", 3)
@@ -20,11 +20,21 @@ def _bi_new_engine(m, args, rest):
 
 _THE = Atom("the")
 _ATOM_NO = Atom("no")
+_ENGINE = Machine.FUNCTOR
 
 
 @builtin("get", 2)
 def _bi_get(m, args, rest):
-    ans = m.session.get_by_id(handle_id(args[0], Machine))
+    # the id of an '$engine'(Id) term is read here; handle_id reads any
+    # other form of it, and faults on a term that is no engine handle
+    t = args[0]
+    while type(t) is Var and t.ref is not None:
+        t = t.ref
+    if type(t) is Struct and t.functor is _ENGINE and len(t.args) == 1 and type(t.args[0]) is Int:
+        eid = t.args[0].value
+    else:
+        eid = handle_id(t, Machine)
+    ans = m.session.get_by_id(eid)
     if ans is NO:
         return unify(args[1], _ATOM_NO, m.trail)
     t = new(Struct)

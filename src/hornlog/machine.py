@@ -31,13 +31,16 @@ order. It unifies each head with the goal's arguments, with a test
 specialised to each head node, and pushes the body onto the goal chain. A
 clause has no other code: the entry is the only place it runs. A clause's
 neck is after the leading calls in its body of builtins that can only
-succeed or fail (=, is, var, the arithmetic comparisons and the like), and
-an entry backtracks shallowly up to it: it tries each candidate's head and
-then those guards, undoing a candidate that fails either, and makes a
-choice point only when a candidate passes its neck with candidates left;
-the last candidate runs without one. A choice point takes its call up
-again by running the same entry from its cursor, as retry_me_else and
-trust_me enter one code sequence per procedure.
+succeed, fail or fault (=, is, var, the arithmetic comparisons and the
+like, and new_engine, to_engine and from_engine, which boot an engine or
+pass it a copy but never resume one), and an entry backtracks shallowly
+up to it: it tries each candidate's head and then those guards, undoing a
+candidate that fails either, and makes a choice point only when a
+candidate passes its neck with candidates left; the last candidate runs
+without one. A choice point takes its call up again by running the same
+entry from its cursor, as retry_me_else and trust_me enter one code
+sequence per procedure. So if/3, catch/3 and findall/3 boot their engine
+in their entry, and only its get returns to the run loop.
 
 A guard is a call of its record's fn, except that the six arithmetic
 comparisons, and is/2 with a variable or an integer on its left, compile
@@ -1222,6 +1225,7 @@ class Database:
 
     def __init__(self):
         self._preds: dict[tuple[Atom, int], Pred] = {}
+        self._metacalled: dict[tuple[Atom, int], Pred] = {}  # see resolve
         self.frozen = False
 
     def pred(self, key) -> Pred:
@@ -1274,9 +1278,14 @@ class Database:
 
     def resolve(self, t, extra=()):
         """The goal (record, args) that calls term t with extra appended to
-        its arguments; faults on a variable or a non-callable term. A key
-        with no record gets a transient one: the frozen table, which
-        threads share without a lock, never grows."""
+        its arguments; faults on a variable or a non-callable term. The
+        frozen table, which threads share without a lock, never grows: a
+        builtin's key that no clause calls, such as the true/0 or fail/0 a
+        metacall runs, gets a record of its own the first time, kept for
+        the database beside the table (threads that race on its first
+        time each make an equivalent one; the last stays), and any other
+        key with no record gets a transient one, which faults
+        unknown_predicate only when it is called."""
         t = deref(t)
         tt = type(t)
         if tt is Struct:
@@ -1291,8 +1300,13 @@ class Database:
             raise MachineError("type_error", t)
         p = self._preds.get(key)
         if p is None:
-            p = Pred(key, BUILTINS.get(key))
-            p.link()
+            p = self._metacalled.get(key)
+            if p is None:
+                fn = BUILTINS.get(key)
+                p = Pred(key, fn)
+                p.link()
+                if fn is not None:
+                    self._metacalled[key] = p
         return p, args
 
     def lookup(self, pred: Pred, args):
@@ -1774,11 +1788,14 @@ _arith_cmp("=<", "<=")
 _arith_cmp(">=", ">=")
 
 # the builtins a clause runs at its neck, inside its entry: each only
-# succeeds or fails, binding through the trail, and touches neither the
-# goals nor the choice points
+# succeeds, fails or faults, binding through the trail, and touches neither
+# the goals nor the choice points. new_engine/3, to_engine/2 and
+# from_engine/1 are among them: they boot an engine, deposit a copy or take
+# one, and never resume an engine, so no engine runs inside an entry
 _GUARDS = frozenset(
     [(Atom("true"), 0), (Atom("fail"), 0), (Atom("var"), 1), (Atom("nonvar"), 1)]
     + [(Atom(name), 2) for name in ("=", "==", "\\==", "is", "=:=", "=\\=", "<", ">", "=<", ">=")]
+    + [(Atom("new_engine"), 3), (Atom("to_engine"), 2), (Atom("from_engine"), 1)]
 )
 
 

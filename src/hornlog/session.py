@@ -52,6 +52,13 @@ def prelude_clauses() -> tuple[Clause, ...]:
     )
 
 
+class _Entry(weakref.ref):
+    """An entry of a session's handle table: a weak reference to a handle
+    that carries the handle's id."""
+
+    __slots__ = ("id",)
+
+
 class Session:
     """A frozen program and the engines, hubs and threads that run it.
 
@@ -82,7 +89,9 @@ class Session:
         # _pins keeps the handles answered to the host until their engine's
         # stop. _thread holds each thread's own ThreadRef.
         self.last_id = 0
-        self._handles: dict[int, weakref.ref] = {}
+        handles: dict[int, _Entry] = {}
+        self._handles = handles
+        self._drop = lambda entry: handles.pop(entry.id, None)  # the callback of every entry
         self._pins: dict[int, Handle] = {}
         self._thread = threading.local()
         if prelude:
@@ -117,15 +126,19 @@ class Session:
         return self._add(Machine(self, pattern, goal))
 
     def get_by_id(self, eid: int):
-        machine = self.lookup(eid, Machine)
-        if machine is None:
+        entry = self._handles.get(eid)
+        machine = None if entry is None else entry()
+        if type(machine) is not Machine:
             return NO
         if machine.running:
             self.report_error(eid, "reentrant_get")
             return NO
         # resume is called straight from here: a nested get adds no other
         # host frame per level
-        return self._outcome(machine, machine.resume())
+        ev = machine.resume()
+        if self.on_event is None and type(ev) is not MachineError:
+            return ev
+        return self._outcome(machine, ev)
 
     def _outcome(self, machine: Machine, ev):
         """What a client gets for the event machine's resume returned: the
@@ -158,12 +171,15 @@ class Session:
     # -- the handle table ------------------------------------------------------
 
     def _add(self, obj):
-        """Enter obj under a fresh id, which becomes obj.id; returns obj. The
-        entry leaves the table when obj is freed."""
-        handles = self._handles
+        """Enter obj under a fresh id, which becomes obj.id; returns obj.
+        The entry is an _Entry, a weak reference that carries the id, so
+        the one callback of the session takes it out of the table when obj
+        is freed."""
         with self._lock:
             obj.id = hid = self.last_id = self.last_id + 1
-        handles[hid] = weakref.ref(obj, lambda _, hid=hid: handles.pop(hid, None))
+        entry = _Entry(obj, self._drop)
+        entry.id = hid
+        self._handles[hid] = entry
         return obj
 
     def lookup(self, hid: int, kind: type):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -12,6 +13,16 @@ from hornlog.terms import DOT
 def base() -> Session:
     """One shared read-only session; engines on it are independent."""
     return Session()
+
+
+def child_env(src) -> dict:
+    """The environment of a Python child process that imports hornlog from
+    src: PYTHONPATH and PATH, and PYTHONDONTWRITEBYTECODE when it is set,
+    so a run that asks for no bytecode leaves no __pycache__ in src."""
+    env = {"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 def answers_str(session: Session, pattern: str, goal: str, limit=None) -> list[str]:

@@ -21,6 +21,8 @@ import pytest
 
 from hornlog import NO, Session, The, parse_term, write_term
 
+from conftest import child_env
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -162,7 +164,7 @@ print(json.dumps({"primes": primes, "rss10": rss10, "rss1000": rss1000}))
         capture_output=True,
         text=True,
         timeout=300,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(REPO / "src"),
     )
     assert r.returncode == 0, r.stderr
     data = json.loads(r.stdout)

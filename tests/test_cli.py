@@ -4,8 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import child_env
+
 REPO = Path(__file__).resolve().parent.parent
-ENV_SRC = str(REPO / "src")
 
 
 def run_cli(*args, stdin: str | None = None, timeout: float = 60):
@@ -15,7 +16,7 @@ def run_cli(*args, stdin: str | None = None, timeout: float = 60):
         capture_output=True,
         text=True,
         timeout=timeout,
-        env={"PYTHONPATH": ENV_SRC, "PATH": "/usr/bin:/bin"},
+        env=child_env(REPO / "src"),
     )
 
 

@@ -609,6 +609,87 @@ def test_a_slot_is_dereferenced_once_per_clause():
         assert text.count(f"if type({n}) is Int:") == 2, text
 
 
+# -- engine builtins at the neck ----------------------------------------------------
+
+ENGINE_GUARDS = {"new_engine": 3, "to_engine": 2, "from_engine": 1}
+
+
+@pytest.fixture
+def engine_guard_callers(monkeypatch):
+    """Each call of a new_engine, to_engine or from_engine record's fn,
+    in call order, as (name, caller): a generated entry's code name, such
+    as <if/3 entry>, or the calling function's name, such as _run."""
+    calls = []
+    for name, arity in ENGINE_GUARDS.items():
+        key = (Atom(name), arity)
+
+        def spy(m, args, rest, name=name, fn=machine.BUILTINS[key]):
+            code = sys._getframe(1).f_code
+            calls.append((name, code.co_filename if code.co_name == "run" else code.co_name))
+            return fn(m, args, rest)
+
+        monkeypatch.setitem(machine.BUILTINS, key, spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "pattern, goal, want, called",
+    [
+        ("x", "if(true,true,fail)", ["x"], [("new_engine", "<if/3 entry>")]),
+        ("x", "not(fail)", ["x"], [("new_engine", "<if/3 entry>")]),
+        ("x", "catch(true,_,fail)", ["x"], [("new_engine", "<catch/3 entry>")]),
+        ("L", "findall(X,member(X,[a,b]),L)", ["[a,b]"], [("new_engine", "<findall/3 entry>")]),
+        (
+            "R",
+            "(new_engine(_,sum_loop(0),E),ask_engine(E,(S1=>S2:-S2 is S1+2),R))",
+            ["the(0=>2)"],
+            [("new_engine", "_run"), ("to_engine", "<ask_engine/3 entry>"), ("from_engine", "<engine_yield/1 entry>")],
+        ),
+        (
+            "x",
+            "(new_edb(Db),edb_assertz(Db,(a:-true)))",
+            ["x"],
+            [
+                ("new_engine", "<new_edb/1 entry>"),
+                ("to_engine", "<ask_engine/3 entry>"),
+                ("from_engine", "<queue_server/2 entry>"),
+            ],
+        ),
+    ],
+)
+def test_engine_builtins_run_at_the_neck_once_per_goal(pattern, goal, want, called, engine_guard_callers):
+    # each is one call of its record's fn, made inside the entry of the
+    # clause it starts; only a goal of the query itself is run by _run
+    s = Session()
+    assert answers_str(s, pattern, goal) == want
+    assert engine_guard_callers == called
+
+
+NECK_ENGINES = """
+spawn(E,a):-new_engine(x,true,E),fail.
+spawn(E,b):-new_engine(y,true,E).
+take(X,first):-from_engine(X),X==none.
+take(X,second):-from_engine(X).
+"""
+# the same clauses, with each engine builtin past a call that is no guard
+PAST_THE_NECK = NECK_ENGINES.replace(":-", ":-call(true),")
+
+
+@pytest.mark.parametrize("program", [NECK_ENGINES, PAST_THE_NECK])
+def test_an_engine_builtin_at_the_neck_of_a_failed_candidate_acts_as_past_it(program):
+    # a candidate that fails after its engine builtin still booted an
+    # engine or took a copy: ids and mailbox order are as a choice point
+    # and a backtrack give them
+    s = Session(text=program, prelude=False)
+    e = s.new_engine("X-W-E-F-G-Y-V", "(take(X,W),spawn(E,F),get(E,G),take(Y,V))")
+    for item in "abcde":
+        e.to_engine(Atom(item))
+    assert write_term(e.get().value) == f"b-second-'$engine'({e.id + 2})-b-the(y)-d-second"
+    assert s.last_id == e.id + 2
+    assert list(e.mailbox) == [Atom("e")]
+    assert e.get() is machine.NO
+
+
 # -- register loops and output lists built once -----------------------------------
 
 

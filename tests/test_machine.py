@@ -522,7 +522,7 @@ def test_one_lookup_per_predicate_call_and_one_call_per_builtin():
     # attribute and each BUILTINS entry as the session found it
     from hornlog import machine as mach
 
-    counts = {"lookup": 0, ">": 0, "between": 0, "is": 0}
+    counts = {"lookup": 0, ">": 0, "between": 0, "is": 0, "new_engine": 0, "get": 0, "true": 0, "fail": 0}
 
     def counted(name, fn):
         def wrapped(*args):
@@ -534,11 +534,15 @@ def test_one_lookup_per_predicate_call_and_one_call_per_builtin():
     saved_lookup = mach.Database.lookup
     saved = dict(mach.BUILTINS)
     gt, between, is_ = (Atom(">"), 2), (Atom("between"), 3), (Atom("is"), 2)
+    engine_keys = {"new_engine": 3, "get": 2, "true": 0, "fail": 0}
     try:
         mach.Database.lookup = counted("lookup", saved_lookup)
         mach.BUILTINS[gt] = counted(">", saved[gt])
         mach.BUILTINS[between] = counted("between", saved[between])
         mach.BUILTINS[is_] = counted("is", saved[is_])
+        for name, arity in engine_keys.items():
+            key = (Atom(name), arity)
+            mach.BUILTINS[key] = counted(name, saved[key])
         s = Session(text=NREV + NECK)
         for n in (0, 1, 10, 30):
             counts["lookup"] = 0
@@ -585,6 +589,12 @@ def test_one_lookup_per_predicate_call_and_one_call_per_builtin():
         counts["lookup"] = 0
         assert write_term(s.first("R", "count_partitions(6,R)")) == "11"
         assert counts["lookup"] == 152
+        # not(fail): not/1, if/3, whose entry boots the engine at its neck,
+        # and select_if/4 are one lookup each; the engine's fail/0 and the
+        # else branch's true/0 are metacalled builtins
+        counts.update(dict.fromkeys(counts, 0))
+        assert s.answers("x", "not(fail)") == [Atom("x")]
+        assert counts == {"lookup": 3, ">": 0, "between": 0, "is": 0, "new_engine": 1, "get": 1, "true": 1, "fail": 1}
     finally:
         mach.Database.lookup = saved_lookup
         mach.BUILTINS.clear()
@@ -692,6 +702,24 @@ def test_undefined_predicate_faults_when_reached():
     assert s.answers("X", "call(nope,1)") == []
     assert len(lines) == 2
     assert all(line.endswith("unknown_predicate: nope/1") for line in lines)
+
+
+def test_resolve_keeps_one_record_per_metacalled_builtin():
+    # no clause calls true/0 or call/3 (a body's true is dropped), so
+    # resolve makes their records, once each, outside the frozen table
+    s, lines = _errors("p(X):-G=true,G,X=1.")
+    preds = dict(s.db._preds)
+    for goal in (Atom("true"), Atom("fail"), parse_term("call(a,b)")):
+        record = s.db.resolve(goal)[0]
+        assert s.db.resolve(goal)[0] is record
+        assert record.fn is machine_module.BUILTINS[record.key]
+    assert [v.value for v in s.answers("X", "p(X)")] == [1]
+    # an unknown key's record faults only when it is called
+    unknown, args = s.db.resolve(parse_term("nope(1,2)"))
+    assert lines == [] and unknown.key == (Atom("nope"), 2)
+    assert s.answers("X", "call(nope,1,2)") == []
+    assert lines == ["engine 2: unknown_predicate: nope/2"]
+    assert s.db._preds == preds
 
 
 def test_goal_bound_at_run_time():
@@ -994,6 +1022,31 @@ def test_a_guard_at_the_neck_runs_two_frames_below_the_run_loop(monkeypatch):
     s = Session(text="p(X):-var(X),q(X). p(2). q(1).", prelude=False)
     assert answers_str(s, "X", "p(X)") == ["1", "2"]
     assert frames == [["fn", "run", "spy"]]
+
+
+@pytest.mark.parametrize("goal, levels", [("q", 1), ("p(A)", 2), ("r(A)", 3)])
+def test_a_nested_get_runs_three_frames_between_its_engines_run_loops(goal, levels, monkeypatch):
+    # each engine level is _run -> _bi_get -> get_by_id -> resume -> the
+    # child's _run: a frame more or fewer moves the depth at which deep
+    # not/1 and catch/3 nesting runs out of host stack
+    gaps = []
+    between = machine_module.BUILTINS[(Atom("between"), 3)]
+
+    def spy(m, args, rest):
+        names = [f.name for f in traceback.extract_stack()]
+        runs = [i for i, name in enumerate(names) if name == "_run"]
+        gaps.extend(names[i + 1 : j] for i, j in zip(runs, runs[1:]))
+        return between(m, args, rest)
+
+    monkeypatch.setitem(machine_module.BUILTINS, (Atom("between"), 3), spy)
+    program = """
+    q:-between(1,1,_).
+    p(A):-new_engine(x,q,E),get(E,A).
+    r(A):-new_engine(B,p(B),E),get(E,A).
+    """
+    s = Session(text=program, prelude=False)
+    assert len(s.answers("A", goal)) == 1
+    assert gaps == [["_bi_get", "get_by_id", "resume"]] * (levels - 1)
 
 
 def test_a_guard_fault_in_a_candidate_with_others_left_kills_as_from_the_body():

@@ -13,7 +13,7 @@ import hornlog.session as session
 from hornlog import Atom, Session, parse_program
 from hornlog.session import prelude_sources
 
-from conftest import answers_str
+from conftest import answers_str, child_env
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -163,7 +163,7 @@ print(sorted(got))
         capture_output=True,
         text=True,
         timeout=120,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(REPO / "src"),
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.split("\n")[0] == "['42', '42', '42', '42']"
