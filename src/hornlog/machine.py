@@ -62,18 +62,19 @@ read of the callee's index. It hands the list, the call's arguments and
 the rest of the body back to the record's fn, which runs that list's entry
 in the same loop, after a choice point if candidates are left; the last
 candidate's call of its own record goes round the entry's own loop while
-it selects the same list. So app/3 over a list, member/2's scan, or a
-chain of calls p to q to r, is one call of fn. Where that list makes no
-choice point, the loop keeps the head's arguments in locals, tests the
-list's own key before it reads the callee's index, and builds an
-argument tuple only to hand on; where the clause's output is a list whose
-tail it passes to its call, as app/3's [H|R], the loop collects each
-round's element and builds the cells once, innermost first, as tail
-recursion modulo cons does: no Var, tuple or binding per round. Where Database.lookup is
-not the method defined here, as where the benchmark's tracer wraps it to
-count predicate calls, an entry asks it instead, once per call. A list too
-long for one entry of _ENTRY_LINES lines is tried through a chain of
-entries, each handing the call on to the next in the same way.
+it selects the same list, which it tests the call's first argument for
+before it reads the callee's index. So app/3 over a list, member/2's
+scan, or a chain of calls p to q to r, is one call of fn. Where that
+list makes no choice point, the loop keeps the head's arguments in
+locals and builds an argument tuple only to hand on; where the clause's
+output is a list whose tail it passes to its call, as app/3's [H|R], the
+loop collects each round's element and builds the cells once, innermost
+first, as tail recursion modulo cons does: no Var, tuple or binding per
+round. Where Database.lookup is not the method defined here, as where
+the benchmark's tracer wraps it to count predicate calls, each selection
+asks it instead, once per call, and a loop takes none of those
+shortcuts. A list too long for one entry of _ENTRY_LINES lines is tried
+through a chain of entries, each handing the call on in the same way.
 
 Code is generated the first time it is run, so loading a program compiles
 nothing and a predicate never called costs nothing. Its source names every
@@ -313,9 +314,9 @@ class _ClauseCode:
         self.derefs: dict[int, str] = {}  # slot index -> its dereferenced value's temporary
         self.ints: set[int] = set()  # slots whose temporary in derefs holds an Int
         self.registers: list | None = None  # a register loop's head argument names, None: not one
-        # a fused loop's output argument, as _output() gives it; a loop
-        # that asks a lookup put in place of Database.lookup is not fused
-        self.output = _output(cl, db._preds, keyed) if loop and type(db).lookup is _LOOKUP else None
+        self.inline = type(db).lookup is _LOOKUP  # else select() asks the lookup put in its place
+        # a fused loop's output argument, as _output() gives it; only inline
+        self.output = _output(cl, db._preds, keyed) if loop and self.inline else None
         self.head(cl.args, keyed, loop)
 
     def emit(self, depth: int, line: str) -> None:
@@ -603,13 +604,12 @@ class _ClauseCode:
                 work.extend((a, None) for a in reversed(targs))
         return texts[0]
 
-    def proceed(self, goals, push: str | None, own: Candidates | None, inline: bool) -> None:
+    def proceed(self, goals, push: str | None, own: Candidates | None) -> None:
         """Emit the clause's goals past its neck: push, its ClauseCP if
         any, once the body is built, so a body cut gets the height before
         it; then the goals pushed as the machine's, or a first call of a
-        ClausePred handed on as (its list, args, rest of the body), which
-        loops while it selects own. inline: select as lookup does, else
-        ask lookup."""
+        ClausePred handed on as (its list, args, rest of the body), or,
+        where own is given, the bottom of own's loop (repeat)."""
         callee = self.preds.get(goals[0][0]) if goals else None  # _CUT and _METACALL are no keys
         if type(callee) is not ClausePred:
             chain = self.body(goals)
@@ -622,48 +622,37 @@ class _ClauseCode:
         # a slot the head and guards left unassigned is a new variable
         fresh = not args or type(args[0]) is VarSlot and args[0].index not in self.assigned
         tpl = None if fresh else args[0]
-        select = self.select(callee, tpl) if inline else f"m.db.lookup({self.const(callee)}, args)"
+        select = self.select(callee, tpl)
         chain = self.body(goals[1:])
-        if self.registers is not None:
-            self.repeat(callee, args, tpl, select, chain, own, inline)
+        if own is not None:
+            self.repeat(callee, args, tpl, select, chain, own)
             return
         call = self.arguments(args)
         if push:
             self.emit(0, push)
         self.emit(0, f"args = {call}")
-        if own is None:
-            self.emit(0, f"return {select}, args, {chain}")
-            return
-        if chain != "rest":
-            self.emit(0, f"rest = {chain}")
-        self.emit(0, f"candidates = {select}")
-        self.emit(0, f"if candidates is not {self.const(own)}:")
-        self.emit(1, "return candidates, args, rest")
+        self.emit(0, f"return {select}, args, {chain}")
 
-    def repeat(self, callee: Pred, args, tpl, select: str, chain: str, own: Candidates, inline: bool) -> None:
-        """Emit the bottom of a register loop, whose call is of own's
-        record: while the call selects own, set the head's registers from
-        its arguments and go round; else build the argument tuple and hand
-        on. Inline, a call whose first argument has own's key goes round
-        before the callee's table is read; a fused loop builds its cells
-        before any other selection, which may read them."""
+    def repeat(self, callee: Pred, args, tpl, select: str, chain: str, own: Candidates) -> None:
+        """Emit the bottom of a loop, whose call is of own's record: while
+        the call selects own, set the next round's input from its
+        arguments, the head's registers or else args, and go round; else
+        build the argument tuple and hand on. Inline, a constant selection
+        takes no test, a call whose first argument has own's key goes
+        round before the callee's table is read, and a fused loop builds
+        its cells before any other selection, which may read them. args is
+        built before a selection where it or the next round reads it."""
         if chain != "rest":
             self.emit(0, f"rest = {chain}")
         values = [self.build(a) for a in args]
         call = self.const(args) if _ground(args) else f"({', '.join(values)},)"
-        if not inline:
-            self.emit(0, f"args = {call}")
-            self.emit(0, f"candidates = {select}")
-            self.emit(0, f"if candidates is not {self.const(own)}:")
-            self.emit(1, "return candidates, args, rest")
-            self.reassign(0, values)
-            return
-        first = tpl if type(tpl) is VarSlot and callee.index is not None else None
-        if first is None and select == self.const(own):  # a constant selection of own
+        first = tpl if self.inline and type(tpl) is VarSlot and callee.index is not None else None
+        if self.inline and first is None and select == self.const(own):  # a constant selection of own
             self.reassign(0, values)
             self.emit(0, "continue")
             return
-        again = moved = False  # whether the call may still select own; whether out may have been its value
+        # whether the call may still select own; whether out may have been its value
+        again, moved = not self.inline, False  # inline, a constant selection is another list
         if first is not None:
             t = self.deref(first.index)
             test = self.owns(callee, own, first.index)
@@ -678,18 +667,26 @@ class _ClauseCode:
             self.emit(1, f"{t} = v{first.index}")
             self.emit(1, f"while type({t}) is Var:")
             self.emit(2, f"{t} = {t}.ref")
-        if not again:
+        early = not again or not self.inline or self.registers is None  # args is read at once
+        if early:
             self.emit(0, f"args = {call}")
+        if not again:
             self.emit(0, f"return {select}, args, rest")
             return
         self.emit(0, f"candidates = {select}")
         self.emit(0, f"if candidates is not {self.const(own)}:")
-        self.emit(1, f"args = {call}")
+        if not early:
+            self.emit(1, f"args = {call}")
         self.emit(1, "return candidates, args, rest")
-        self.reassign(0, values)
+        if self.registers is not None:
+            self.reassign(0, values)
 
     def reassign(self, depth: int, values: list[str]) -> None:
-        """Emit the statement that sets each register read to its value."""
+        """Emit the statement that sets the next round's input to values:
+        each register read, or args where the loop has no registers."""
+        if self.registers is None:
+            self.emit(depth, f"args = ({', '.join(values)},)")
+            return
         pairs = [(r, v) for r, v in zip(self.registers, values) if r is not None and r != v]
         if pairs:
             self.emit(depth, f"{', '.join(r for r, _ in pairs)} = {', '.join(v for _, v in pairs)}")
@@ -717,8 +714,10 @@ class _ClauseCode:
 
     def select(self, callee: Pred, tpl) -> str:
         """The expression of the list lookup selects for a call of callee
-        with first argument tpl (None: a new variable), constant unless tpl
-        is a slot."""
+        with first argument tpl (None: a new variable): inline, constant
+        unless tpl is a slot; else the lookup's call, which reads args."""
+        if not self.inline:
+            return f"m.db.lookup({self.const(callee)}, args)"
         if callee.index is None or tpl is None:
             return self.const(callee.clauses)
         table, unkeyed = callee.index
@@ -1099,26 +1098,26 @@ class Candidates(list):
     and no goal cell made for the call, which ClausePred.fn runs in place;
     a non-last candidate makes its ClauseCP first. Where the last
     candidate's call is of pred, the entry goes round again from the first
-    candidate while the call selects this list. A keyed list, which lookup
-    selects only for a first argument of its key, leaves that argument's
-    functor, atom or integer test out of its heads.
+    candidate while the call selects this list: inline, a call whose
+    first argument has this list's key (or, for the list of the other
+    keys, a key the index lacks) goes round at once, and the callee's
+    table is read only where the loop may hand on. A keyed list, which
+    lookup selects only for a first argument of its key, leaves that
+    argument's functor, atom or integer test out of its heads.
 
     A list of one clause that calls itself past its neck makes no choice
     point, and its entry is a register loop: it unpacks args into the
     head's argument names once, before its while True, and at the bottom
-    of each round sets them from the call's arguments, built as values,
-    not as a tuple. Inline, a call whose first argument has this list's
-    key (or, for the list of the other keys, a key the index lacks) goes
-    round at once; the callee's table is read, and the argument tuple
-    built, only where the loop may hand on. A register loop is fused where
-    _output() finds the clause's output argument: the first round matches
-    it as any head does, and once that binds the goal's variable to a new
-    cell, later rounds only append each cell's element to cells; before
-    the loop hands on, and before any call that may read them, _cons
-    builds the cells, binds that first cell's tail variable out to them
-    and ends them with one new variable. Asking a lookup put in place of
-    Database.lookup, a loop is never fused and builds the tuple each round
-    to ask it.
+    of each round sets them from the call's arguments, built as values;
+    inline, the argument tuple is built only to hand on. A register loop
+    is fused where _output() finds the clause's output argument: the
+    first round matches it as any head does, and once that binds the
+    goal's variable to a new cell, later rounds only append each cell's
+    element to cells; before the loop hands on, and before any call that
+    may read them, _cons builds the cells, binds that first cell's tail
+    variable out to them and ends them with one new variable. Asking a
+    lookup put in place of Database.lookup, a loop is never fused, and
+    builds the tuple each round to ask it.
 
     Where the inlined clauses would take the source past _ENTRY_LINES, the
     entry holds the first n that fit, at least one, and hands the call on
@@ -1171,7 +1170,6 @@ class Candidates(list):
         body = self[n - 1].body
         neck = _neck(body)
         loops = more is None and neck < len(body) and body[neck][0] == self.pred.key
-        inline = type(db).lookup is _LOOKUP
         src.emit(2, "trail = m.trail")
         top = 2
         if loops and last:
@@ -1189,7 +1187,7 @@ class Candidates(list):
             code = _ClauseCode(src, cl, db, top + 1, "break", self.keyed)
             neck = code.guards(cl.body)
             push = f"m.cps.append(ClauseCP(args, rest, {src.const(self)}, {i + 1}, mark, stamp))"
-            code.proceed(cl.body[neck:], push, None, inline)
+            code.proceed(cl.body[neck:], push, None)
             src.emit(top, "trail.undo_to(mark)")
             ends.append(len(src.lines))
         if last:
@@ -1197,15 +1195,15 @@ class Candidates(list):
         if more is not None:
             src.emit(top, f"return {src.const(more)}, args, rest")
             return
+        if loops and last:  # the next round tries every candidate
+            src.emit(top, "start = 0")
         cl = self[last]
         if loops and not last:  # a register loop, which emits its own while True
             code = _ClauseCode(src, cl, db, 3, "return False", self.keyed, True)
         else:
             code = _ClauseCode(src, cl, db, top, "return False", self.keyed)
         neck = code.guards(cl.body)
-        code.proceed(cl.body[neck:], None, self if loops else None, inline)
-        if loops and last:
-            code.emit(0, "start = 0")
+        code.proceed(cl.body[neck:], None, self if loops else None)
 
     def compile(self, db: "Database"):
         """Generate run over db's records, keep it, and return it. The

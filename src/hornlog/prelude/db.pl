@@ -15,10 +15,6 @@ server_task(queue,Xs,Ys,Xs,Ys,Xs-Ys).
 server_task(delete_element(X),Xs,Ys,NewXs,Ys,YesNo):-
   server_task_delete(X,Xs,NewXs,YesNo).
 
-server_task_remove(Xs,NewXs,YesNo):-nonvar(Xs),Xs=[X|NewXs],!,
-  YesNo=yes(X).
-server_task_remove(Xs,Xs,no).
-
 server_task_delete(X,Xs,NewXs,YesNo):-select_nonvar(X,Xs,NewXs),!,
   YesNo=yes(X).
 server_task_delete(_,Xs,Xs,no).

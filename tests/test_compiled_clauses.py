@@ -6,6 +6,7 @@ import ast
 import re
 import sys
 import traceback
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -712,6 +713,26 @@ def test_the_prelude_entries_that_fuse():
         ("length_of", 2, "unkeyed"),
         ("positive_ints", 2, "unkeyed"),
     ]
+
+
+@pytest.mark.parametrize("form", ["inline", "lookup"])
+def test_no_entry_compares_a_selection_with_the_same_constant(form, monkeypatch):
+    # a loop whose call always selects its own list goes round with no
+    # test, as member/2's and select_nonvar/3's do
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    if form == "lookup":
+        monkeypatch.setattr(Database, "lookup", lambda db, pred, args: machine._LOOKUP(db, pred, args))
+    same = re.compile(r"candidates = (k\d+)\n *if candidates is not \1:")
+    texts = [None, *(w.program for w in workloads.Workload.__subclasses__())]
+    found = set()
+    for text in texts:
+        s = Session(text=text)
+        for p, c in candidate_lists(s):
+            if same.search(c.source(s.db)[0]):
+                found.add(f"{p.key[0].name}/{p.key[1]}")
+    assert not found
 
 
 def test_app_over_a_hundred_thousand_elements_makes_a_constant_number_of_variables():

@@ -25,7 +25,10 @@ the other sets mostly run the call those guards fall back to.
 Every program also holds lp, a predicate whose last clause calls itself
 on the tail of its output list, in one of three shapes (app/3's, an
 integer countdown, a void element), and two more queries call it: an
-entry runs such a loop in place and builds the list once.
+entry runs such a loop in place and builds the list once. It holds lq
+too, a self-looping predicate of one of the other LOOP_SHAPES, each
+made to reach a form of loop the generated code tells apart, and two
+queries call that.
 
 The plain and integer sets run twice more with Database.lookup wrapped by
 a pass-through, as the benchmark's tracer wraps it: an entry then asks
@@ -550,21 +553,46 @@ def hornlog_answers(session, goal):
     return got, [line.split(": ")[1] for line in lines]
 
 
-LOOP_SHAPES = ("app", "count", "void")
+# lp's shape is one of the first three, by seed; lq's one of the others
+LOOP_SHAPES = ("app", "count", "void", "atoms", "codes", "others", "twice", "checked", "given")
+LP_SHAPES = 3
 
 
 def looping(shape):
-    """The clauses of lp, a predicate whose last clause calls itself on the
-    tail of its output list, of one shape: app/3's, a countdown as
-    positive_ints/2's, or length_of/2's, whose list elements are variables
-    of their own. An entry runs such a loop in place and builds the list
-    once, after its last round."""
-    h, t, l, r, n, m = (RVar(v) for v in "HTLRNM")
+    """The clauses of a self-looping predicate of one shape, lp's or lq's.
+
+    lp's last clause calls itself on the tail of its output list: app/3's,
+    a countdown as positive_ints/2's, or length_of/2's, whose list
+    elements are variables of their own. An entry runs such a loop in
+    place and builds the list once, after its last round.
+
+    lq's shapes run a list of states, each the next one's key: atoms and
+    codes, each key's list a register loop that leaves its head's atom or
+    integer test out (and the list of every clause one that loops past a
+    fact), where codes' atom a takes the next state less one, an integer;
+    others, whose loop is the list of the keys the index lacks.
+    The last three are countdowns whose output is not built once: a head
+    argument repeated, a guard that is no arithmetic, and an is/2 whose
+    target is a head argument."""
+    h, t, l, r, n, m, x = (RVar(v) for v in "HTLRNMX")
     if shape == "app":
         return [(("lp", "[]", l, l), []), (("lp", (".", h, t), l, (".", h, r)), [("lp", t, l, r)])]
-    element = n if shape == "count" else RVar("_")
-    step = [(">", n, 0), ("is", m, ("-", n, 1)), ("lp", m, r)]
-    return [(("lp", 0, "[]"), []), (("lp", n, (".", element, r)), step)]
+    if shape in ("count", "void"):
+        element = n if shape == "count" else RVar("_")
+        step = [(">", n, 0), ("is", m, ("-", n, 1)), ("lp", m, r)]
+        return [(("lp", 0, "[]"), []), (("lp", n, (".", element, r)), step)]
+    if shape in ("atoms", "codes", "others"):
+        first, second = {"atoms": ("b", "a"), "codes": (0, 1), "others": ("a", n)}[shape]
+        clauses = [(("lq", first, "[]"), []), (("lq", second, (".", x, t)), [("lq", x, t)])]
+        if shape == "codes":  # an atom's loop whose call's first argument is an integer
+            clauses.append((("lq", "a", (".", x, t)), [("is", m, ("-", x, 1)), ("lq", m, t)]))
+        return clauses
+    step = [(">", n, 0), ("is", m, ("-", n, 1))]
+    if shape == "twice":
+        return [(("lq", 0, 0, "[]"), []), (("lq", n, n, (".", n, r)), [*step, ("lq", m, m, r)])]
+    if shape == "checked":
+        return [(("lq", 0, "[]"), []), (("lq", n, (".", n, r)), [("nonvar", n), *step, ("lq", m, r)])]
+    return [(("lq", 0, RVar("_"), "[]"), []), (("lq", n, m, (".", n, r)), [*step, ("lq", m, RVar("_"), r)])]
 
 
 def loop_query(rng, gen, shape, serial):
@@ -583,14 +611,31 @@ def loop_query(rng, gen, shape, serial):
     out = var() if roll < 0.6 else items(rng.randint(1, 2), var()) if roll < 0.8 else items(rng.randint(0, 4), "[]")
     if shape == "app":
         return ("lp", items(rng.randint(0, 5), var() if rng.random() < 0.3 else "[]"), gen.term([var()], 1), out)
-    return ("lp", rng.choice([-1, 0, 1, 2, 3, 5, "a", var()]), out)
+    if shape in ("count", "void"):
+        return ("lp", rng.choice([-1, 0, 1, 2, 3, 5, "a", var()]), out)
+    if shape in ("atoms", "codes", "others"):
+        # mostly the states the clauses know, the last mostly their end
+        states = {"atoms": ["a", "a", "b"], "codes": [1, 1, "a", 2, 0], "others": ["b", 1, ("f", "a"), "a"]}[shape]
+        pick = [*states, "c", var()]
+        tail = var() if rng.random() < 0.3 else "[]"
+        run = [rng.choice(pick) for _ in range(rng.randint(0, 5))]
+        for state in reversed(run + [states[-1]] * (rng.random() < 0.7)):
+            tail = (".", state, tail)
+        return ("lq", rng.choice(pick), tail)
+    n = rng.choice([-1, 0, 1, 2, 3, 5, "a", var()])
+    if shape == "checked":
+        return ("lq", n, out)
+    if shape == "twice":
+        return ("lq", n, rng.choice([n, n, 2, var()]) if type(n) is not RVar else var(), out)
+    return ("lq", n, rng.choice([var(), var(), 1, 2]), out)
 
 
 def judged_queries(seed, constructs=False, integers=False):
     """A seeded program, and each of its queries the reference judges with
     what it answers. Each program also holds lp, a self-looping predicate
     of one of LOOP_SHAPES, and two more queries call it; they draw from a
-    random sequence of their own, so the other queries are as they were."""
+    random sequence of their own, so the other queries are as they were.
+    So do lq, of one of the other shapes, and its two queries."""
     rng = random.Random(seed)
     gen = IntegerGen(rng) if integers else Gen(rng, constructs)
     keys, program = gen.program()
@@ -600,9 +645,13 @@ def judged_queries(seed, constructs=False, integers=False):
         # no variable shared between arguments: a head such as p(X,f(X))
         # would otherwise often build a cyclic term
         goals.append((name, *(gen.term([RVar(f"Q{j}")]) for j in range(arity))))
-    shape = LOOP_SHAPES[seed % len(LOOP_SHAPES)]
+    shape = LOOP_SHAPES[seed % LP_SHAPES]
     program[("lp", 3 if shape == "app" else 2)] = looping(shape)
     gen.rng = random.Random(f"lp:{seed}")
+    goals += [loop_query(gen.rng, gen, shape, itertools.count()) for _ in range(2)]
+    gen.rng = random.Random(f"lq:{seed}")
+    shape = gen.rng.choice(LOOP_SHAPES[LP_SHAPES:])
+    program[("lq", 3 if shape in ("twice", "given") else 2)] = looping(shape)
     goals += [loop_query(gen.rng, gen, shape, itertools.count()) for _ in range(2)]
     judged, skipped = [], 0
     for goal in goals:
